@@ -1,13 +1,33 @@
 """Driver speaking RESP2 to a networked store.
 
-Each session owns one TCP connection. Batches are pipelined in chunks:
-commands go out together, replies are read back in order, and every reply
-consumed advances a per-batch acknowledgement count. When the connection
-dies mid-batch the session remembers how many commands were acknowledged;
-a retry of the same batch reconnects and resends only the unacknowledged
-tail. A command whose reply was in flight when the connection died may be
-applied twice; the protocol subset has no sequence numbers, so that window
-cannot be closed from the client side.
+Each session owns one TCP connection. A batch becomes a deterministic list
+of commands, pipelined in chunks: commands go out together and replies are
+read back in order. Runs of consecutive mutations that share a key and one
+of the idempotent kinds travel as one variadic command of at most
+_GROUP_MAX mutations:
+
+    map_set  -> HSET key f1 v1 f2 v2 ...
+    map_del  -> HDEL key f1 f2 ...
+    set_add  -> SADD key m1 m2 ...
+    set_del  -> SREM key m1 m2 ...
+
+Every other kind (incr, map_incr, list_append, set_blob, delete,
+list_clear) keeps one command per mutation: the counting kinds are not
+idempotent and the rest have no variadic form worth grouping.
+
+Every reply read advances a per-batch acknowledgement count. When the
+connection dies mid-batch the session remembers how many commands were
+acknowledged; a retry of the same batch rebuilds the same command list,
+reconnects and resends only the unacknowledged tail. A command whose
+reply was in flight when the connection died may be applied twice; the
+protocol subset has no sequence numbers, so that window cannot be closed
+from the client side. Applying a grouped command twice, followed by the
+same tail, leaves the state it would have left once, so the window holds
+at most one mutation of a non-idempotent kind per command in flight.
+
+An error reply fails the batch only after every reply of its pipelined
+chunk has been read, so the next exchange on the session starts on a
+reply boundary.
 """
 
 from __future__ import annotations
@@ -29,6 +49,23 @@ from ..resp.protocol import RespError
 
 _PIPELINE = 256
 _CONNECT_TIMEOUT_S = 5.0
+
+# Mutations per variadic command. Keeps each command far below the
+# server's MAX_ARRAY and the resend unit after a reconnect small.
+_GROUP_MAX = 256
+
+_GROUPED = {
+    "map_set": b"HSET",
+    "map_del": b"HDEL",
+    "set_add": b"SADD",
+    "set_del": b"SREM",
+}
+
+# Each glob metacharacter as a one-character class, which Redis glob and
+# fnmatch both read as the literal character.
+_GLOB_LITERAL = str.maketrans(
+    {"*": "[*]", "?": "[?]", "[": "[[]", "\\": "[\\\\]"}
+)
 
 
 def _raise_reply(error: RespError):
@@ -68,6 +105,49 @@ def _encode_mutation(rendered: bytes, stype: StructureType, m: Mutation) -> byte
     raise ProtocolError(f"unknown mutation kind {kind!r}")
 
 
+def _encode_batch(items: list) -> list[bytes]:
+    """Commands for a batch's mutations, in batch order.
+
+    The list depends only on the items, so a retry's acknowledgement count
+    indexes the same commands as the attempt that recorded it.
+    """
+    commands = []
+    n = len(items)
+    i = 0
+    last_key = None
+    while i < n:
+        key, m = items[i]
+        if key is not last_key and key != last_key:
+            rendered = key.render().encode("ascii")
+            last_key = key
+        kind = m.kind
+        name = _GROUPED.get(kind)
+        if name is None:
+            commands.append(_encode_mutation(rendered, key.structure_type, m))
+            i += 1
+            continue
+        end = min(i + _GROUP_MAX, n)
+        j = i + 1
+        while j < end:
+            other_key, other = items[j]
+            if other.kind != kind or (other_key is not key and other_key != key):
+                break
+            j += 1
+        args = [name, rendered]
+        if kind == "map_set":
+            counts = key.structure_type is StructureType.COUNTER_MAP
+            for _k, run_m in items[i:j]:
+                args.append(run_m.field)
+                args.append(b"%d" % run_m.value if counts else run_m.value)
+        elif kind == "map_del":
+            args.extend(run_m.field for _k, run_m in items[i:j])
+        else:
+            args.extend(run_m.value for _k, run_m in items[i:j])
+        commands.append(protocol.encode_command(*args))
+        i = j
+    return commands
+
+
 class RespSession(DriverSession):
     def __init__(self, driver, session_id, inject_latency_us, address):
         super().__init__(driver, session_id, inject_latency_us)
@@ -104,36 +184,32 @@ class RespSession(DriverSession):
                 pass
             self._sock = None
 
-    def exchange(self, commands: list[bytes]) -> list:
-        """Pipeline commands in chunks; return one reply per command."""
+    def exchange(self, commands: list[bytes], seq: int | None = None) -> list:
+        """Pipeline commands in chunks; return one reply per command.
+
+        Given a batch seq, every reply read advances acked[seq], and the
+        first error reply of a chunk is raised once the whole chunk has
+        been read. Without one, error replies come back as values.
+        """
         self.ensure_connected()
         replies = []
+        acked = self.acked
         try:
             for start in range(0, len(commands), _PIPELINE):
                 chunk = commands[start : start + _PIPELINE]
                 self._sock.sendall(b"".join(chunk))
                 for _ in chunk:
                     replies.append(protocol.read_reply(self._reader))
+                    if seq is not None:
+                        acked[seq] += 1
+                if seq is not None:
+                    for reply in replies[start:]:
+                        if isinstance(reply, RespError):
+                            _raise_reply(reply)
         except (OSError, ConnectionLost) as exc:
             self.drop_link()
             raise ConnectionLost(f"store connection failed: {exc}") from exc
         return replies
-
-    def exchange_counted(self, commands: list[bytes], on_ack) -> None:
-        """Like exchange, but report each consumed reply for resumption."""
-        self.ensure_connected()
-        try:
-            for start in range(0, len(commands), _PIPELINE):
-                chunk = commands[start : start + _PIPELINE]
-                self._sock.sendall(b"".join(chunk))
-                for _ in chunk:
-                    reply = protocol.read_reply(self._reader)
-                    if isinstance(reply, RespError):
-                        _raise_reply(reply)
-                    on_ack()
-        except (OSError, ConnectionLost) as exc:
-            self.drop_link()
-            raise ConnectionLost(f"store connection failed: {exc}") from exc
 
 
 class RespDriver(Driver):
@@ -151,19 +227,21 @@ class RespDriver(Driver):
         return RespSession(self, session_id, inject_latency_us, self._address)
 
     def _apply(self, session: RespSession, batch: MutationBatch) -> None:
-        commands = [
-            _encode_mutation(key.render().encode("ascii"), key.structure_type, m)
-            for key, m in batch.items
-        ]
-        skip = session.acked.get(batch.seq, 0)
-        remaining = commands[skip:]
-
-        def on_ack():
-            session.acked[batch.seq] = session.acked.get(batch.seq, 0) + 1
-
-        if remaining:
-            session.exchange_counted(remaining, on_ack)
-        session.acked.pop(batch.seq, None)
+        items = batch.items
+        # Every waiting call is a batch of one; it skips the run scan.
+        if len(items) == 1:
+            key, m = items[0]
+            commands = [
+                _encode_mutation(key.render().encode("ascii"), key.structure_type, m)
+            ]
+        else:
+            commands = _encode_batch(items)
+        seq = batch.seq
+        acked = session.acked
+        skip = acked.setdefault(seq, 0)
+        if skip < len(commands):
+            session.exchange(commands[skip:], seq)
+        del acked[seq]
 
     def _fetch(self, session: RespSession, key: StoreKey):
         rendered = key.render().encode("ascii")
@@ -207,9 +285,9 @@ class RespDriver(Driver):
         raise TypeConflict(f"unknown structure type {stype!r}")
 
     def _scan(self, session: RespSession, nf_id: str, instance_id: str):
-        prefix = key_prefix(nf_id, instance_id).encode("ascii")
+        pattern = key_prefix(nf_id, instance_id).translate(_GLOB_LITERAL) + "*"
         reply = session.exchange(
-            [protocol.encode_command(b"KEYS", prefix + b"*")]
+            [protocol.encode_command(b"KEYS", pattern.encode("ascii"))]
         )[0]
         if isinstance(reply, RespError):
             _raise_reply(reply)

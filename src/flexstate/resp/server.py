@@ -2,9 +2,11 @@
 
 Speaks the RESP2 subset the resp driver emits: SET GET DEL INCRBY HSET
 HGET HDEL HINCRBY HGETALL SADD SREM SMEMBERS RPUSH LRANGE LLEN KEYS PING
-FLUSHALL. One thread per connection; every command executes under a single
-data lock, so individual commands are atomic and commands from one
-pipelined batch apply in order.
+FLUSHALL. HSET takes one or more field/value pairs and returns how many
+fields were new, as Redis does since 4.0; the driver groups a flush's
+same-key map writes into one such command. One thread per connection;
+every command executes under a single data lock, so individual commands
+are atomic and commands from one pipelined batch apply in order.
 
 Storage is this module's own (deliberately not shared with the in-process
 drivers): a dict of typed values with string-store semantics, including
@@ -35,6 +37,10 @@ class _Reply(Exception):
     def __init__(self, message: str):
         super().__init__(message)
         self.message = message
+
+
+def _arity_error(name: str) -> str:
+    return f"ERR wrong number of arguments for '{name.lower()}' command"
 
 
 def _int_arg(raw: bytes) -> int:
@@ -176,9 +182,7 @@ class MiniRespServer:
         lo, hi = _ARITY[name]
         argc = len(command) - 1
         if argc < lo or (hi is not None and argc > hi):
-            return protocol.encode_error(
-                f"ERR wrong number of arguments for '{name.lower()}' command"
-            )
+            return protocol.encode_error(_arity_error(name))
         with self._data_lock:
             try:
                 return handler(self, command[1:])
@@ -233,10 +237,12 @@ class MiniRespServer:
         return value
 
     def _cmd_hset(self, args: list[bytes]) -> bytes:
+        if len(args) % 2 == 0:
+            raise _Reply(_arity_error("HSET"))
         h = self._hash(args[0], create=True)
-        added = 0 if args[1] in h else 1
-        h[args[1]] = args[2]
-        return protocol.encode_integer(added)
+        before = len(h)
+        h.update(zip(args[1::2], args[2::2]))
+        return protocol.encode_integer(len(h) - before)
 
     def _cmd_hget(self, args: list[bytes]) -> bytes:
         h = self._hash(args[0], create=False)
@@ -385,7 +391,7 @@ _ARITY = {
     "GET": (1, 1),
     "DEL": (1, None),
     "INCRBY": (2, 2),
-    "HSET": (3, 3),
+    "HSET": (3, None),
     "HGET": (2, 2),
     "HDEL": (2, None),
     "HINCRBY": (3, 3),

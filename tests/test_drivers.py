@@ -1,5 +1,6 @@
 """Driver contract: translation shapes, snapshots, batching, retries."""
 
+import math
 import time
 
 import pytest
@@ -22,7 +23,7 @@ from flexstate.drivers import (
 )
 from flexstate.config import FlexConfig
 from flexstate.drivers.base import UNSET_SEQ
-from flexstate.drivers.resp import _encode_mutation
+from flexstate.drivers.resp import _GROUP_MAX, _encode_batch, _encode_mutation
 from flexstate.errors import (
     ConfigSyntaxError,
     ConnectionLost,
@@ -31,6 +32,8 @@ from flexstate.errors import (
     UnknownDriver,
 )
 from flexstate.keys import StructureType, build_key
+from flexstate.nf.combine import combine_counters
+from flexstate.resp.server import MiniRespServer
 
 K_COUNTER = build_key("nf1", "ins1", 1, StructureType.COUNTER, "counter_id")
 K_NV = build_key("nf1", "ins1", 1, StructureType.NAME_VALUE, "N")
@@ -151,6 +154,31 @@ def test_counter_overflow_rejected(driver):
         with pytest.raises(Overflow):
             apply_items(s, [(K_COUNTER, incr(1))])
         assert s.fetch(K_COUNTER) == 2**63 - 1
+
+
+def test_scan_prefix_treats_glob_characters_literally(driver):
+    # Instance ids may contain glob metacharacters; a scan of one instance
+    # must not pick up another whose name the unescaped pattern matches.
+    values = {
+        "nf?": 1,
+        "nfA": 5,
+        "nf*": 7,
+        "nfAB": 11,
+        "nf[A]": 13,
+        "nf[": 17,
+        "nf\\": 19,
+    }
+    with driver.connect() as s:
+        apply_items(
+            s,
+            [
+                (build_key("x", inst, 0, StructureType.COUNTER, "c"), incr(n))
+                for inst, n in values.items()
+            ],
+        )
+        for inst, n in values.items():
+            assert combine_counters(s, "x", inst, "c") == n, inst
+            assert [k.instance_id for k, _ in s.scan_prefix("x", inst)] == [inst]
 
 
 def test_wipe(driver):
@@ -330,6 +358,78 @@ def test_resp_retry_resumes_at_reply_count(mini_server):
         s.apply(batch)
         assert s.fetch(K_COUNTER) == 6
         assert batch.seq not in s.acked  # ledger entry retired on success
+
+
+def test_resp_error_reply_leaves_session_in_step(mini_server):
+    # The failing INCRBY is followed by a SET in the same pipelined chunk;
+    # its reply must be consumed before the error surfaces, or the next
+    # fetch on the session reads it instead of its own.
+    drv = make_driver("resp", mini_server.endpoint)
+    with drv.connect() as s:
+        apply_items(s, [(K_COUNTER, set_blob(b"abc"))])
+        with pytest.raises(TypeConflict):
+            apply_items(s, [(K_COUNTER, incr(1)), (K_NV, set_blob(b"x"))])
+        assert s.fetch(K_NV) == b"x"
+        assert s.reconnects == 1
+
+
+class CountingRespServer(MiniRespServer):
+    def __init__(self):
+        super().__init__()
+        self.commands: list[bytes] = []
+
+    def _dispatch(self, command):
+        self.commands.append(command[0].upper())
+        return super()._dispatch(command)
+
+
+def test_resp_map_flush_groups_fields_per_command():
+    n = 2000
+    with CountingRespServer() as server:
+        drv = make_driver("resp", server.endpoint)
+        with drv.connect() as s:
+            apply_items(s, [(K_MAP, map_set(b"f%d" % i, b"v")) for i in range(n)])
+            sent = len(server.commands)
+            apply_items(s, [(K_MAP, map_del(b"f%d" % i)) for i in range(n)])
+            assert s.fetch(K_MAP) is None
+    assert sent <= math.ceil(n / _GROUP_MAX)
+    assert len(server.commands) <= 2 * math.ceil(n / _GROUP_MAX) + 1
+
+
+def test_resp_grouping_keeps_order_and_singles():
+    items = [
+        (K_MAP, map_set(b"a", b"1")),
+        (K_MAP, map_set(b"b", b"2")),
+        (K_MAP, map_del(b"a")),
+        (K_SET, set_add(b"m")),
+        (K_MAP, map_set(b"a", b"3")),
+        (K_CMAP, map_set(b"f", 7)),
+        (K_CMAP, map_set(b"g", -1)),
+        (K_CMAP, map_incr(b"f", 1)),
+        (K_CMAP, map_incr(b"f", 1)),
+        (K_SET, set_del(b"m")),
+        (K_SET, set_del(b"n")),
+    ]
+    assert _encode_batch(items) == [
+        b"*6\r\n$4\r\nHSET\r\n$16\r\nnf1@ins1@1@Map@M\r\n"
+        b"$1\r\na\r\n$1\r\n1\r\n$1\r\nb\r\n$1\r\n2\r\n",
+        enc(K_MAP, map_del(b"a")),
+        enc(K_SET, set_add(b"m")),
+        enc(K_MAP, map_set(b"a", b"3")),
+        b"*6\r\n$4\r\nHSET\r\n$24\r\nnf1@ins1@1@Countermap@cm\r\n"
+        b"$1\r\nf\r\n$1\r\n7\r\n$1\r\ng\r\n$2\r\n-1\r\n",
+        enc(K_CMAP, map_incr(b"f", 1)),
+        enc(K_CMAP, map_incr(b"f", 1)),
+        b"*4\r\n$4\r\nSREM\r\n$16\r\nnf1@ins1@1@Set@S\r\n$1\r\nm\r\n$1\r\nn\r\n",
+    ]
+    # A mutation alone in its run encodes exactly as a lone mutation does.
+    for key, m in ALL_TYPES_BATCH + items:
+        assert _encode_batch([(key, m), (K_NV, delete())])[0] == enc(key, m)
+    runs = _encode_batch(
+        [(K_SET, set_add(b"m%d" % i)) for i in range(_GROUP_MAX + 1)]
+    )
+    assert len(runs) == 2
+    assert runs[1] == enc(K_SET, set_add(b"m%d" % _GROUP_MAX))
 
 
 def test_resp_large_batch_pipelines(mini_server):

@@ -4,8 +4,20 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from flexstate.drivers import MutationBatch, make_driver
+from flexstate.drivers import (
+    MutationBatch,
+    delete,
+    incr,
+    list_append,
+    make_driver,
+    map_del,
+    map_incr,
+    map_set,
+    set_add,
+    set_del,
+)
 from flexstate.drivers.base import Mutation
+from flexstate.drivers.resp import _GROUP_MAX, _PIPELINE, _encode_batch
 from flexstate.keys import StructureType, build_key
 from flexstate.testing import ModelStore, random_population, random_sequence
 
@@ -136,6 +148,91 @@ def test_four_way_agreement_seeded(mini_server):
         assert got == expect, f"driver {d.label} diverged"
         assert s.scan_prefix("nf1", "ins1") == expect_scan
         s.close()
+
+
+G_MAP = build_key("nf1", "ins1", 0, StructureType.MAP, "m")
+G_CMAP = build_key("nf1", "ins1", 0, StructureType.COUNTER_MAP, "cm")
+G_SET = build_key("nf1", "ins1", 0, StructureType.SET, "s")
+G_LIST = build_key("nf1", "ins1", 0, StructureType.LIST, "l")
+G_COUNTER = build_key("nf1", "ins1", 1, StructureType.COUNTER, "c")
+G_KEYS = [G_MAP, G_CMAP, G_SET, G_LIST, G_COUNTER]
+
+# What the store holds before the grouped flush: the map drop must remove
+# something, and the removes must hit fields that exist.
+GROUPED_SEED = [(G_MAP, map_set(b"old%d" % i, b"o")) for i in range(40)] + [
+    (G_SET, set_add(b"m%d" % i)) for i in range(0, 300, 3)
+]
+
+
+def grouped_flush():
+    """One flush mixing every grouped kind with single-command kinds.
+
+    Runs are longer than _GROUP_MAX, and the command count is more than
+    one pipeline chunk.
+    """
+    n = _GROUP_MAX + 50
+    items = [(G_MAP, delete())]
+    items += [(G_MAP, map_set(b"f%d" % i, b"v%d" % i)) for i in range(n)]
+    items += [(G_MAP, map_del(b"f%d" % i)) for i in range(0, n, 2)]
+    items += [(G_MAP, map_set(b"f0", b"again"))]
+    items += [(G_SET, set_add(b"m%d" % i)) for i in range(300)]
+    items += [(G_SET, set_del(b"m%d" % i)) for i in range(0, 300, 5)]
+    for i in range(2 * _PIPELINE):
+        items.append((G_LIST, list_append(b"e%d" % i)))
+        if i % 3 == 0:
+            items.append((G_SET, set_add(b"x%d" % i)))
+            items.append((G_SET, set_del(b"m%d" % i)))
+    items += [(G_CMAP, map_set(b"k%d" % (i % 300), i - 150)) for i in range(n)]
+    items += [(G_CMAP, map_incr(b"k%d" % (i % 7), 2)) for i in range(100)]
+    items += [(G_COUNTER, incr(i)) for i in range(50)]
+    return items
+
+
+def model_after(*batches):
+    model = ModelStore()
+    for items in batches:
+        for key, m in items:
+            model.apply_mutation(key, m)
+    return snapshot_model(model, G_KEYS), model.scan_prefix("nf1", "ins1")
+
+
+def test_grouped_flush_matches_model(mini_server):
+    items = grouped_flush()
+    assert len(_encode_batch(items)) > _PIPELINE
+    expect, expect_scan = model_after(GROUPED_SEED, items)
+    drivers = [
+        make_driver("flatkvs"),
+        make_driver("tablestore"),
+        make_driver("resp", mini_server.endpoint),
+    ]
+    for d in drivers:
+        with d.connect() as s:
+            s.apply(MutationBatch(list(GROUPED_SEED)))
+            s.apply(MutationBatch(items))
+            assert {key: s.fetch(key) for key in G_KEYS} == expect, d.label
+            assert s.scan_prefix("nf1", "ins1") == expect_scan, d.label
+
+
+def test_grouped_flush_resumes_at_acked_command(mini_server):
+    # A previous attempt got replies for the first k commands, then lost
+    # the link: those commands are applied and recorded in the ledger. The
+    # retry must rebuild the same command list and finish the batch.
+    items = grouped_flush()
+    commands = _encode_batch(items)
+    expect, expect_scan = model_after(GROUPED_SEED, items)
+    drv = make_driver("resp", mini_server.endpoint)
+    with drv.connect() as s:
+        for k in (1, 2, 5, _PIPELINE - 1, _PIPELINE + 3, len(commands) - 1):
+            drv.wipe(s)
+            s.apply(MutationBatch(list(GROUPED_SEED)))
+            batch = MutationBatch(list(items))
+            batch.seq = s.next_seq()
+            s.exchange(commands[:k])
+            s.acked[batch.seq] = k
+            s.apply(batch)
+            assert batch.seq not in s.acked
+            assert {key: s.fetch(key) for key in G_KEYS} == expect, k
+            assert s.scan_prefix("nf1", "ins1") == expect_scan, k
 
 
 def test_model_empty_collections_read_none():

@@ -96,6 +96,24 @@ def test_hash_commands(client):
     assert client.call(b"DEL", b"h") == 0
 
 
+def test_hset_variadic_counts_new_fields(client):
+    assert client.call(b"HSET", b"h", b"a", b"1", b"b", b"2") == 2
+    # One new field, one overwritten; a repeated field is new only once
+    # and its last value wins.
+    assert client.call(b"HSET", b"h", b"a", b"3", b"c", b"4", b"c", b"5") == 1
+    assert client.call(b"HGETALL", b"h") == [b"a", b"3", b"b", b"2", b"c", b"5"]
+
+
+def test_hset_unpaired_field_is_arity_error(client):
+    assert_error(
+        client.call(b"HSET", b"h", b"a", b"1", b"b"), "wrong number of arguments"
+    )
+    assert_error(client.call(b"HSET", b"h", b"a"), "wrong number of arguments")
+    # Nothing was written, not even the first pair.
+    assert client.call(b"HGETALL", b"h") == []
+    assert client.call(b"KEYS", b"*") == []
+
+
 def test_hincrby(client):
     assert client.call(b"HINCRBY", b"h", b"f", b"7") == 7
     assert client.call(b"HINCRBY", b"h", b"f", b"-7") == 0
