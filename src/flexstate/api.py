@@ -23,14 +23,13 @@ from .cache import (
     _NameValueState,
     _SetState,
 )
-from .errors import IndexOutOfRange, KeyTooLarge, Overflow, ValueTooLarge
+from .errors import IndexOutOfRange, KeyTooLarge, ValueTooLarge
 from .keys import StructureType
 from .limits import (
-    INT64_MAX,
-    INT64_MIN,
     MAX_BLOB_BYTES,
     MAX_ELEMENT_BYTES,
     MAX_MAP_KEY_BYTES,
+    check_int64,
 )
 
 
@@ -63,9 +62,7 @@ def _check_map_key(key: bytes) -> bytes:
 def _check_int(value: int) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise TypeError(f"expected int, not {type(value).__name__}")
-    if not INT64_MIN <= value <= INT64_MAX:
-        raise Overflow(f"{value} outside signed 64-bit range")
-    return value
+    return check_int64(value)
 
 
 class _Handle:
@@ -131,28 +128,17 @@ class NameValueHandle(_Handle):
         self._cache.apply_op(self._state, _NameValueState.drop)
 
 
-class MapHandle(_Handle):
-    def get(self, key: bytes) -> bytes | None:
-        return self._state.live.get(_check_map_key(key))
+class _MapHandleBase(_Handle):
+    """What Map and CounterMap handles share: everything but the values."""
 
     def has(self, key: bytes) -> bool:
         return _check_map_key(key) in self._state.live
 
-    def read_all(self) -> dict[bytes, bytes]:
+    def read_all(self) -> dict:
         return dict(self._state.live)
 
     def size(self) -> int:
         return len(self._state.live)
-
-    def insert(self, key: bytes, value: bytes) -> None:
-        self._cache.apply_op(
-            self._state, _MapState.insert, _check_map_key(key), _check_element(value), wait=True
-        )
-
-    def insert_nowait(self, key: bytes, value: bytes) -> None:
-        self._cache.apply_op(
-            self._state, _MapState.insert, _check_map_key(key), _check_element(value)
-        )
 
     def remove(self, key: bytes) -> None:
         self._cache.apply_op(self._state, _MapState.remove, _check_map_key(key), wait=True)
@@ -167,18 +153,24 @@ class MapHandle(_Handle):
         self._cache.apply_op(self._state, _MapState.drop)
 
 
-class CounterMapHandle(_Handle):
+class MapHandle(_MapHandleBase):
+    def get(self, key: bytes) -> bytes | None:
+        return self._state.live.get(_check_map_key(key))
+
+    def insert(self, key: bytes, value: bytes) -> None:
+        self._cache.apply_op(
+            self._state, _MapState.insert, _check_map_key(key), _check_element(value), wait=True
+        )
+
+    def insert_nowait(self, key: bytes, value: bytes) -> None:
+        self._cache.apply_op(
+            self._state, _MapState.insert, _check_map_key(key), _check_element(value)
+        )
+
+
+class CounterMapHandle(_MapHandleBase):
     def get(self, key: bytes) -> int:
         return self._state.live.get(_check_map_key(key), 0)
-
-    def has(self, key: bytes) -> bool:
-        return _check_map_key(key) in self._state.live
-
-    def read_all(self) -> dict[bytes, int]:
-        return dict(self._state.live)
-
-    def size(self) -> int:
-        return len(self._state.live)
 
     def add_to(self, key: bytes, n: int) -> None:
         self._cache.apply_op(
@@ -199,18 +191,6 @@ class CounterMapHandle(_Handle):
         self._cache.apply_op(
             self._state, _CounterMapState.insert, _check_map_key(key), _check_int(value)
         )
-
-    def remove(self, key: bytes) -> None:
-        self._cache.apply_op(self._state, _CounterMapState.remove, _check_map_key(key), wait=True)
-
-    def remove_nowait(self, key: bytes) -> None:
-        self._cache.apply_op(self._state, _CounterMapState.remove, _check_map_key(key))
-
-    def delete(self) -> None:
-        self._cache.apply_op(self._state, _CounterMapState.drop, wait=True)
-
-    def delete_nowait(self) -> None:
-        self._cache.apply_op(self._state, _CounterMapState.drop)
 
 
 class ListHandle(_Handle):

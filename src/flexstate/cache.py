@@ -33,13 +33,11 @@ from .drivers.base import Driver, Mutation, MutationBatch
 from .errors import (
     BackpressureSignal,
     ConnectionLost,
-    IndexOutOfRange,
-    Overflow,
     StoreUnavailable,
     TypeConflict,
 )
 from .keys import StoreKey, StructureType, build_key, check_structure_id
-from .limits import INT64_MAX, INT64_MIN
+from .limits import check_int64
 
 DEFAULT_BACKPRESSURE_LIMIT = 2**20
 RETRY_BASE_S = 0.001
@@ -48,67 +46,10 @@ SYNC_TIMEOUT_S = 5.0
 CREATE_RETRIES = 3
 
 
-def _check_int64(value: int) -> int:
-    if not INT64_MIN <= value <= INT64_MAX:
-        raise Overflow(f"{value} outside signed 64-bit range")
-    return value
-
-
 # Structure state. Mutators fold into the pending slot(s) and return the
 # net change in pending-slot count; collect() drains the slots into a
 # batch. The invariant throughout: replaying the pending slots on top of
 # the store's current value yields exactly `live`.
-
-
-class _CounterState:
-    __slots__ = ("key", "live", "pend")
-    stype = StructureType.COUNTER
-
-    def __init__(self, key: StoreKey, snapshot):
-        self.key = key
-        self.live = snapshot  # int or None (absent)
-        self.pend = None  # None | ("set", v) | ("incr", d) | ("del",)
-
-    def set_value(self, value: int) -> int:
-        _check_int64(value)
-        delta = 0 if self.pend else 1
-        self.pend = ("set", value)
-        self.live = value
-        return delta
-
-    def add(self, n: int) -> int:
-        value = _check_int64((self.live or 0) + n)
-        p = self.pend
-        if p is None:
-            self.pend = ("incr", n)
-            delta = 1
-        else:
-            if p[0] == "del":
-                self.pend = ("set", value)
-            else:
-                self.pend = (p[0], p[1] + n)
-            delta = 0
-        self.live = value
-        return delta
-
-    def drop(self) -> int:
-        delta = 0 if self.pend else 1
-        self.pend = ("del",)
-        self.live = None
-        return delta
-
-    def collect(self, batch: MutationBatch) -> int:
-        p = self.pend
-        if p is None:
-            return 0
-        if p[0] == "set":
-            batch.add(self.key, Mutation("set_blob", None, b"%d" % p[1]))
-        elif p[0] == "incr":
-            batch.add(self.key, Mutation("incr", None, p[1]))
-        else:
-            batch.add(self.key, Mutation("delete"))
-        self.pend = None
-        return 1
 
 
 class _NameValueState:
@@ -117,10 +58,10 @@ class _NameValueState:
 
     def __init__(self, key: StoreKey, snapshot):
         self.key = key
-        self.live = snapshot  # bytes or None
-        self.pend = None  # None | ("set", v) | ("del",)
+        self.live = snapshot  # bytes, int (counters) or None (absent)
+        self.pend = None  # None | ("set", v) | ("incr", d) | ("del",)
 
-    def set_value(self, value: bytes) -> int:
+    def set_value(self, value) -> int:
         delta = 0 if self.pend else 1
         self.pend = ("set", value)
         self.live = value
@@ -144,6 +85,39 @@ class _NameValueState:
         return 1
 
 
+class _CounterState(_NameValueState):
+    __slots__ = ()
+    stype = StructureType.COUNTER
+
+    def add(self, n: int) -> int:
+        value = check_int64((self.live or 0) + n)
+        p = self.pend
+        if p is None:
+            self.pend = ("incr", n)
+            delta = 1
+        else:
+            if p[0] == "del":
+                self.pend = ("set", value)
+            else:
+                self.pend = (p[0], p[1] + n)
+            delta = 0
+        self.live = value
+        return delta
+
+    def collect(self, batch: MutationBatch) -> int:
+        p = self.pend
+        if p is None:
+            return 0
+        if p[0] == "set":
+            batch.add(self.key, Mutation("set_blob", None, b"%d" % p[1]))
+        elif p[0] == "incr":
+            batch.add(self.key, Mutation("incr", None, p[1]))
+        else:
+            batch.add(self.key, Mutation("delete"))
+        self.pend = None
+        return 1
+
+
 class _MapState:
     __slots__ = ("key", "live", "pend", "reset")
     stype = StructureType.MAP
@@ -151,7 +125,7 @@ class _MapState:
     def __init__(self, key: StoreKey, snapshot):
         self.key = key
         self.live: dict = dict(snapshot) if snapshot else {}
-        self.pend: dict = {}  # field -> ("set", v) | ("del",)
+        self.pend: dict = {}  # field -> ("set", v) | ("incr", d) | ("del",)
         self.reset = False
 
     def _slots(self) -> int:
@@ -186,27 +160,20 @@ class _MapState:
         for fieldname, op in self.pend.items():
             if op[0] == "set":
                 batch.add(self.key, Mutation("map_set", fieldname, op[1]))
-            else:
+            elif op[0] == "del":
                 batch.add(self.key, Mutation("map_del", fieldname))
+            else:
+                batch.add(self.key, Mutation("map_incr", fieldname, op[1]))
         self.pend.clear()
         return count
 
 
-class _CounterMapState:
-    __slots__ = ("key", "live", "pend", "reset")
+class _CounterMapState(_MapState):
+    __slots__ = ()
     stype = StructureType.COUNTER_MAP
 
-    def __init__(self, key: StoreKey, snapshot):
-        self.key = key
-        self.live: dict = dict(snapshot) if snapshot else {}
-        self.pend: dict = {}  # field -> ("set", v) | ("incr", d) | ("del",)
-        self.reset = False
-
-    def _slots(self) -> int:
-        return len(self.pend) + (1 if self.reset else 0)
-
     def add_to(self, fieldname: bytes, n: int) -> int:
-        value = _check_int64(self.live.get(fieldname, 0) + n)
+        value = check_int64(self.live.get(fieldname, 0) + n)
         p = self.pend.get(fieldname)
         if p is None:
             self.pend[fieldname] = ("incr", n)
@@ -219,43 +186,6 @@ class _CounterMapState:
             delta = 0
         self.live[fieldname] = value
         return delta
-
-    def insert(self, fieldname: bytes, value: int) -> int:
-        _check_int64(value)
-        delta = 0 if fieldname in self.pend else 1
-        self.pend[fieldname] = ("set", value)
-        self.live[fieldname] = value
-        return delta
-
-    def remove(self, fieldname: bytes) -> int:
-        delta = 0 if fieldname in self.pend else 1
-        self.pend[fieldname] = ("del",)
-        self.live.pop(fieldname, None)
-        return delta
-
-    def drop(self) -> int:
-        delta = 1 - self._slots()
-        self.pend.clear()
-        self.reset = True
-        self.live.clear()
-        return delta
-
-    def collect(self, batch: MutationBatch) -> int:
-        count = self._slots()
-        if count == 0:
-            return 0
-        if self.reset:
-            batch.add(self.key, Mutation("delete"))
-            self.reset = False
-        for fieldname, op in self.pend.items():
-            if op[0] == "set":
-                batch.add(self.key, Mutation("map_set", fieldname, op[1]))
-            elif op[0] == "incr":
-                batch.add(self.key, Mutation("map_incr", fieldname, op[1]))
-            else:
-                batch.add(self.key, Mutation("map_del", fieldname))
-        self.pend.clear()
-        return count
 
 
 class _ListState:

@@ -27,6 +27,25 @@ maps, list[bytes] for lists, set[bytes] for sets, and None when absent. An
 empty collection reads back as None on every driver: stores that drop a
 hash when its last field goes cannot tell the two apart, so no driver is
 allowed to.
+
+In-process stores subclass LocalDriver, which owns everything but the
+store itself:
+
+    - one re-entrant lock around every engine access;
+    - exactly-once batches per session: a batch whose seq is not above the
+      session's last applied seq is skipped, so retrying an applied batch
+      is a no-op (wipe forgets every session's seq);
+    - all-or-nothing batches for integer failures. Before anything
+      mutates, a validation pass replays the batch's integer arithmetic
+      on running values per key and raises the Overflow or TypeConflict
+      the batch would hit, so an overflow in item 7 leaves items 1..6
+      unapplied. It covers incr and map_incr sums, the values that
+      set_blob writes to a Counter and map_set to a CounterMap, and
+      resets: map_del makes one field read 0, delete every field of the
+      key. Failures of other kinds are not checked ahead.
+
+A subclass supplies an engine with a wipe() method, _stored_int (the
+only thing validation asks of the store), _apply_one, _fetch and _scan.
 """
 
 from __future__ import annotations
@@ -37,7 +56,8 @@ import time
 from typing import ClassVar, NamedTuple
 
 from ..errors import ConnectionLost
-from ..keys import StoreKey
+from ..keys import StoreKey, StructureType
+from ..limits import as_int, check_int64
 
 UNSET_SEQ = -1
 
@@ -177,7 +197,6 @@ class Driver:
 
     def __init__(self):
         self._session_ids = itertools.count(1)
-        self._lock = threading.Lock()
 
     def connect(self, *, inject_latency_us: int = 0) -> DriverSession:
         session = self._make_session(next(self._session_ids), inject_latency_us)
@@ -238,4 +257,59 @@ class Driver:
         raise NotImplementedError
 
     def _wipe(self, session: DriverSession) -> None:
+        raise NotImplementedError
+
+
+class LocalDriver(Driver):
+    """In-process store skeleton: lock, seq dedup, validate-then-apply."""
+
+    def __init__(self, engine):
+        super().__init__()
+        self._engine = engine
+        self._lock = threading.RLock()
+        self._applied: dict[int, int] = {}  # session id -> last applied seq
+
+    def _apply(self, session: DriverSession, batch: MutationBatch) -> None:
+        with self._lock:
+            if batch.seq <= self._applied.get(session.session_id, 0):
+                return
+            self._validate(batch)
+            for key, m in batch.items:
+                self._apply_one(key, m)
+            self._applied[session.session_id] = batch.seq
+
+    def _validate(self, batch: MutationBatch) -> None:
+        running: dict[StoreKey, dict] = {}  # key -> field -> value so far
+        dropped: set[StoreKey] = set()  # deleted in this batch: fields read 0
+        for key, m in batch.items:
+            kind = m.kind
+            if kind == "incr" or kind == "map_incr":
+                values = running.setdefault(key, {})
+                field = m.field
+                value = values.get(field)
+                if value is None and key not in dropped:
+                    value = self._stored_int(key, field)
+                values[field] = check_int64((value or 0) + m.value)
+            elif kind == "delete":
+                running[key] = {}
+                dropped.add(key)
+            elif kind == "map_del":
+                running.setdefault(key, {})[m.field] = 0
+            elif kind == "set_blob" and key.structure_type is StructureType.COUNTER:
+                running.setdefault(key, {})[None] = as_int(m.value)
+            elif kind == "map_set" and key.structure_type is StructureType.COUNTER_MAP:
+                running.setdefault(key, {})[m.field] = as_int(m.value)
+
+    def _wipe(self, session: DriverSession) -> None:
+        with self._lock:
+            self._engine.wipe()
+            self._applied.clear()
+
+    # Store-specific parts.
+
+    def _stored_int(self, key: StoreKey, field: bytes | None) -> int | None:
+        """Stored value of a Counter (field None) or CounterMap field."""
+        raise NotImplementedError
+
+    def _apply_one(self, key: StoreKey, m: Mutation) -> None:
         raise NotImplementedError

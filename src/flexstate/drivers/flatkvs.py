@@ -5,40 +5,23 @@ follow string-store conventions: counters are ASCII-decimal strings that
 increments parse and rewrite, maps are field hashes, sets and lists are
 native. Deleting the last entry of a collection deletes the key.
 
-Batches are all-or-nothing for detectable failures: a validation pass runs
-over the batch (tracking running counter values) before anything mutates,
-so an overflow in item 7 leaves items 1..6 unapplied.
+Locking, exactly-once batches and batch validation come from LocalDriver
+(see drivers/base.py).
 """
 
 from __future__ import annotations
 
-import threading
-
-from ..errors import Overflow, TypeConflict
+from ..errors import TypeConflict
 from ..keys import StoreKey, StructureType, key_prefix, parse_key
-from ..limits import INT64_MAX, INT64_MIN
-from .base import Driver, DriverSession, Mutation, MutationBatch
-
-
-def _as_int(raw: bytes) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise TypeConflict(f"value {raw!r} is not an integer") from None
-
-
-def _check_int64(value: int) -> int:
-    if not INT64_MIN <= value <= INT64_MAX:
-        raise Overflow(f"{value} outside signed 64-bit range")
-    return value
+from ..limits import as_int, check_int64
+from .base import DriverSession, LocalDriver, Mutation
 
 
 class FlatStore:
-    """Dict-of-values engine. Callers must hold .lock around access."""
+    """Dict-of-values engine. Not thread-safe: the driver serializes access."""
 
     def __init__(self):
         self._data: dict[str, object] = {}
-        self.lock = threading.RLock()
 
     def _typed(self, key: str, want: type):
         cur = self._data.get(key)
@@ -57,7 +40,7 @@ class FlatStore:
 
     def incrby(self, key: str, n: int) -> int:
         cur = self._typed(key, bytes)
-        value = _check_int64((0 if cur is None else _as_int(cur)) + n)
+        value = check_int64((0 if cur is None else as_int(cur)) + n)
         self._data[key] = str(value).encode()
         return value
 
@@ -84,7 +67,7 @@ class FlatStore:
         cur = self._typed(key, dict)
         if cur is None:
             cur = self._data[key] = {}
-        value = _check_int64(_as_int(cur.get(field, b"0")) + n)
+        value = check_int64(as_int(cur.get(field, b"0")) + n)
         cur[field] = str(value).encode()
         return value
 
@@ -139,57 +122,21 @@ class FlatStore:
     def items(self):
         return self._data.items()
 
-    def flushall(self) -> None:
+    def wipe(self) -> None:
         self._data.clear()
 
 
-class FlatKvsDriver(Driver):
+class FlatKvsDriver(LocalDriver):
     label = "flatkvs"
 
     def __init__(self):
-        super().__init__()
-        self._engine = FlatStore()
-        self._applied: dict[int, int] = {}
+        super().__init__(FlatStore())
 
-    def _apply(self, session: DriverSession, batch: MutationBatch) -> None:
+    def _stored_int(self, key: StoreKey, field: bytes | None) -> int | None:
         engine = self._engine
-        with engine.lock:
-            if batch.seq <= self._applied.get(session.session_id, 0):
-                return
-            self._validate(batch)
-            for key, m in batch.items:
-                self._apply_one(key, m)
-            self._applied[session.session_id] = batch.seq
-
-    def _validate(self, batch: MutationBatch) -> None:
-        # Track running counter values so an overflow anywhere in the batch
-        # is raised before the first item mutates the store.
-        engine = self._engine
-        counters: dict[tuple, int] = {}
-
-        def current(slot, raw):
-            if slot in counters:
-                return counters[slot]
-            return 0 if raw is None else _as_int(raw)
-
-        for key, m in batch.items:
-            rendered = key.render()
-            if m.kind == "incr":
-                slot = (rendered, None)
-                counters[slot] = _check_int64(
-                    current(slot, engine._data.get(rendered)) + m.value
-                )
-            elif m.kind == "map_incr":
-                slot = (rendered, m.field)
-                stored = engine._data.get(rendered)
-                raw = stored.get(m.field) if isinstance(stored, dict) else None
-                counters[slot] = _check_int64(current(slot, raw) + m.value)
-            elif m.kind == "set_blob" and key.structure_type is StructureType.COUNTER:
-                counters[(rendered, None)] = _as_int(m.value)
-            elif m.kind == "map_set" and key.structure_type is StructureType.COUNTER_MAP:
-                counters[(rendered, m.field)] = int(m.value)
-            elif m.kind == "delete":
-                counters[(rendered, None)] = 0
+        rendered = key.render()
+        raw = engine.get(rendered) if field is None else engine.hget(rendered, field)
+        return None if raw is None else as_int(raw)
 
     def _apply_one(self, key: StoreKey, m: Mutation) -> None:
         engine = self._engine
@@ -225,18 +172,18 @@ class FlatKvsDriver(Driver):
         engine = self._engine
         rendered = key.render()
         stype = key.structure_type
-        with engine.lock:
+        with self._lock:
             if stype is StructureType.NAME_VALUE:
                 return engine.get(rendered)
             if stype is StructureType.COUNTER:
                 raw = engine.get(rendered)
-                return None if raw is None else _as_int(raw)
+                return None if raw is None else as_int(raw)
             if stype is StructureType.MAP:
                 h = engine.hgetall(rendered)
                 return h or None
             if stype is StructureType.COUNTER_MAP:
                 h = engine.hgetall(rendered)
-                return {f: _as_int(v) for f, v in h.items()} or None
+                return {f: as_int(v) for f, v in h.items()} or None
             if stype is StructureType.LIST:
                 items = engine.lrange(rendered, 0, -1)
                 return items or None
@@ -249,20 +196,15 @@ class FlatKvsDriver(Driver):
         prefix = key_prefix(nf_id, instance_id)
         engine = self._engine
         out = []
-        with engine.lock:
+        with self._lock:
             for rendered in sorted(engine.keys(prefix)):
                 key = parse_key(rendered)
                 out.append((key, self._fetch(session, key)))
         return out
 
-    def _wipe(self, session: DriverSession) -> None:
-        with self._engine.lock:
-            self._engine.flushall()
-            self._applied.clear()
-
     def dump(self) -> dict[str, object]:
         """Copy of the raw keyspace, for inspection and debugging."""
-        with self._engine.lock:
+        with self._lock:
             out: dict[str, object] = {}
             for key, value in self._engine.items():
                 if isinstance(value, dict):

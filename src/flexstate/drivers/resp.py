@@ -27,7 +27,9 @@ at most one mutation of a non-idempotent kind per command in flight.
 
 An error reply fails the batch only after every reply of its pipelined
 chunk has been read, so the next exchange on the session starts on a
-reply boundary.
+reply boundary. A batch the store failed that way is finished, not
+resumable: its ledger entry is dropped, and only a lost connection keeps
+one for a retry to resume from.
 """
 
 from __future__ import annotations
@@ -240,7 +242,11 @@ class RespDriver(Driver):
         acked = session.acked
         skip = acked.setdefault(seq, 0)
         if skip < len(commands):
-            session.exchange(commands[skip:], seq)
+            try:
+                session.exchange(commands[skip:], seq)
+            except (TypeConflict, Overflow, ProtocolError):
+                del acked[seq]
+                raise
         del acked[seq]
 
     def _fetch(self, session: RespSession, key: StoreKey):

@@ -8,41 +8,28 @@ under the member with an empty payload, list elements under their index.
 Counters are integers updated in place; updating an absent counter row
 creates it, so increments never need a prior insert.
 
-Keyspaces and tables are created on first write. Batches run a validation
-pass (counter overflow, in order) before any row changes.
+Keyspaces and tables are created on first write. Locking, exactly-once
+batches and batch validation come from LocalDriver (see drivers/base.py).
 """
 
 from __future__ import annotations
 
-import threading
-
-from ..errors import Overflow, TypeConflict
+from ..errors import TypeConflict
 from ..keys import StoreKey, StructureType, check_token, parse_key
-from ..limits import INT64_MAX, INT64_MIN
-from .base import Driver, DriverSession, Mutation, MutationBatch
+from ..limits import as_int, check_int64
+from .base import DriverSession, LocalDriver, Mutation
 
 _SINGLE_ROW = (StructureType.NAME_VALUE, StructureType.COUNTER)
 
 
-def _check_int64(value: int) -> int:
-    if not INT64_MIN <= value <= INT64_MAX:
-        raise Overflow(f"{value} outside signed 64-bit range")
-    return value
-
-
-def _as_int(raw) -> int:
-    try:
-        return int(raw)
-    except (ValueError, TypeError):
-        raise TypeConflict(f"value {raw!r} is not an integer") from None
-
-
 class TableStore:
-    """Nested dicts: keyspace -> table -> key1 [-> key2] -> value."""
+    """Nested dicts: keyspace -> table -> key1 [-> key2] -> value.
+
+    Not thread-safe: the driver serializes access.
+    """
 
     def __init__(self):
         self.keyspaces: dict[str, dict[str, dict]] = {}
-        self.lock = threading.RLock()
 
     def table(self, keyspace: str, table: str, create: bool = False) -> dict | None:
         ks = self.keyspaces.get(keyspace)
@@ -70,7 +57,7 @@ class TableStore:
 
     def update_counter(self, keyspace: str, table: str, key1: str, n: int) -> int:
         t = self.table(keyspace, table, create=True)
-        value = _check_int64(t.get(key1, 0) + n)
+        value = check_int64(t.get(key1, 0) + n)
         t[key1] = value
         return value
 
@@ -98,7 +85,7 @@ class TableStore:
         rows = t.get(key1)
         if rows is None:
             rows = t[key1] = {}
-        value = _check_int64(rows.get(key2, 0) + n)
+        value = check_int64(rows.get(key2, 0) + n)
         rows[key2] = value
         return value
 
@@ -117,52 +104,19 @@ def _keyspace_of(key: StoreKey) -> str:
     return f"{key.nf_id}@{key.instance_id}@{key.core_id}"
 
 
-class TableStoreDriver(Driver):
+class TableStoreDriver(LocalDriver):
     label = "tablestore"
 
     def __init__(self):
-        super().__init__()
-        self._engine = TableStore()
-        self._applied: dict[int, int] = {}
+        super().__init__(TableStore())
 
-    def _apply(self, session: DriverSession, batch: MutationBatch) -> None:
-        engine = self._engine
-        with engine.lock:
-            if batch.seq <= self._applied.get(session.session_id, 0):
-                return
-            self._validate(batch)
-            for key, m in batch.items:
-                self._apply_one(key, m)
-            self._applied[session.session_id] = batch.seq
-
-    def _validate(self, batch: MutationBatch) -> None:
-        engine = self._engine
-        counters: dict[tuple, int] = {}
-
-        def current(slot, stored):
-            if slot in counters:
-                return counters[slot]
-            return 0 if stored is None else stored
-
-        for key, m in batch.items:
-            ks = _keyspace_of(key)
-            token = key.structure_type.token
-            if m.kind == "incr":
-                slot = (ks, token, key.structure_id, None)
-                counters[slot] = _check_int64(
-                    current(slot, engine.select(ks, token, key.structure_id)) + m.value
-                )
-            elif m.kind == "map_incr":
-                slot = (ks, token, key.structure_id, m.field)
-                rows = engine.select(ks, token, key.structure_id)
-                stored = rows.get(m.field) if isinstance(rows, dict) else None
-                counters[slot] = _check_int64(current(slot, stored) + m.value)
-            elif m.kind == "set_blob" and key.structure_type is StructureType.COUNTER:
-                counters[(ks, token, key.structure_id, None)] = _as_int(m.value)
-            elif m.kind == "map_set" and key.structure_type is StructureType.COUNTER_MAP:
-                counters[(ks, token, key.structure_id, m.field)] = _as_int(m.value)
-            elif m.kind == "delete":
-                counters[(ks, token, key.structure_id, None)] = 0
+    def _stored_int(self, key: StoreKey, field: bytes | None) -> int | None:
+        stored = self._engine.select(
+            _keyspace_of(key), key.structure_type.token, key.structure_id
+        )
+        if field is None or stored is None:
+            return stored
+        return stored.get(field)
 
     def _apply_one(self, key: StoreKey, m: Mutation) -> None:
         engine = self._engine
@@ -175,7 +129,7 @@ class TableStoreDriver(Driver):
         elif kind == "map_set":
             value = m.value
             if key.structure_type is StructureType.COUNTER_MAP:
-                value = _as_int(value)
+                value = as_int(value)
             engine.upsert_cell(ks, token, key1, m.field, value)
         elif kind == "map_incr":
             engine.update_cell_counter(ks, token, key1, m.field, m.value)
@@ -184,7 +138,7 @@ class TableStoreDriver(Driver):
         elif kind == "set_blob":
             value = m.value
             if key.structure_type is StructureType.COUNTER:
-                value = _as_int(value)
+                value = as_int(value)
             engine.upsert(ks, token, key1, value)
         elif kind == "delete":
             engine.delete(ks, token, key1)
@@ -202,8 +156,7 @@ class TableStoreDriver(Driver):
             raise TypeConflict(f"unknown mutation kind {kind!r}")
 
     def _fetch(self, session: DriverSession, key: StoreKey):
-        engine = self._engine
-        with engine.lock:
+        with self._lock:
             return self._snapshot(key)
 
     def _snapshot(self, key: StoreKey):
@@ -229,7 +182,7 @@ class TableStoreDriver(Driver):
         engine = self._engine
         want = f"{nf_id}@{instance_id}@"
         out = []
-        with engine.lock:
+        with self._lock:
             for ks_name in engine.keyspaces:
                 if not ks_name.startswith(want):
                     continue
@@ -240,14 +193,9 @@ class TableStoreDriver(Driver):
         out.sort(key=lambda pair: pair[0].render())
         return out
 
-    def _wipe(self, session: DriverSession) -> None:
-        with self._engine.lock:
-            self._engine.wipe()
-            self._applied.clear()
-
     def dump(self) -> dict[str, dict[str, dict]]:
         """Copy of keyspaces and tables, for inspection and debugging."""
-        with self._engine.lock:
+        with self._lock:
             out: dict[str, dict[str, dict]] = {}
             for ks_name, tables in self._engine.keyspaces.items():
                 out[ks_name] = {

@@ -74,6 +74,8 @@ def _read_line(reader, *, at_boundary: bool = False) -> bytes | None:
     set; raises otherwise.
     """
     line = reader.readline()
+    if line.endswith(CRLF):
+        return line[:-2]
     if not line:
         if at_boundary:
             return None
@@ -81,16 +83,7 @@ def _read_line(reader, *, at_boundary: bool = False) -> bytes | None:
     if not line.endswith(b"\n"):
         # readline returns a partial line only when the stream ended.
         raise ConnectionLost("connection closed mid-line")
-    if not line.endswith(b"\r\n"):
-        raise ProtocolError(f"line without CRLF terminator: {line[:64]!r}")
-    return line[:-2]
-
-
-def _read_exact(reader, n: int) -> bytes:
-    data = reader.read(n)
-    if data is None or len(data) != n:
-        raise ConnectionLost("connection closed mid-bulk")
-    return data
+    raise ProtocolError(f"line without CRLF terminator: {line[:64]!r}")
 
 
 def _parse_length(text: bytes, what: str, cap: int) -> int:
@@ -107,10 +100,15 @@ def _read_bulk(reader, header: bytes) -> bytes | None:
     n = _parse_length(header, "bulk", MAX_BULK)
     if n == -1:
         return None
-    data = _read_exact(reader, n)
-    if _read_exact(reader, 2) != CRLF:
+    # Payload and terminator in one read: a flush's variadic command has
+    # hundreds of elements, and the bundled server parses them while holding
+    # the interpreter lock.
+    data = reader.read(n + 2)
+    if data is None or len(data) != n + 2:
+        raise ConnectionLost("connection closed mid-bulk")
+    if data[n:] != CRLF:
         raise ProtocolError("bulk payload not CRLF-terminated")
-    return data
+    return data[:n]
 
 
 def read_reply(reader):

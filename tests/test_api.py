@@ -129,6 +129,22 @@ def test_counter_map_overflow(ctx):
     assert cm.get(b"f") == 2**63 - 1
 
 
+@pytest.mark.parametrize("label", ["flatkvs", "tablestore"])
+def test_counter_map_delete_then_add_flushes(label):
+    # The flush is [delete, map_incr(f, 1)] against a stored MAX: the
+    # delete resets f, so the batch is in range and lands whole.
+    driver = make_driver(label)
+    cache = CoreCache("nf1", "ins1", 0, driver, start_flusher=False)
+    cm = StateContext(cache).create_counter_map("cm")
+    cm.insert(b"f", 2**63 - 1)
+    cm.delete_nowait()
+    cm.add_to_nowait(b"f", 1)
+    cache.flush_now()
+    with driver.connect() as s:
+        assert s.fetch(cm.key) == {b"f": 1}
+    cache.drain()
+
+
 def test_list_semantics(ctx):
     lst = ctx.create_list("L")
     assert lst.length() == 0

@@ -34,6 +34,7 @@ from flexstate.errors import (
 from flexstate.keys import StructureType, build_key
 from flexstate.nf.combine import combine_counters
 from flexstate.resp.server import MiniRespServer
+from flexstate.testing import ModelStore
 
 K_COUNTER = build_key("nf1", "ins1", 1, StructureType.COUNTER, "counter_id")
 K_NV = build_key("nf1", "ins1", 1, StructureType.NAME_VALUE, "N")
@@ -154,6 +155,21 @@ def test_counter_overflow_rejected(driver):
         with pytest.raises(Overflow):
             apply_items(s, [(K_COUNTER, incr(1))])
         assert s.fetch(K_COUNTER) == 2**63 - 1
+
+
+@pytest.mark.parametrize("reset", [delete(), map_del(b"f")], ids=["delete", "map_del"])
+def test_reset_counter_map_field_restarts_at_zero(driver, reset):
+    # A field dropped earlier in the batch must not keep its stored value
+    # for the range check: MAX, reset, +1 is 1, not an overflow.
+    items = [(K_CMAP, reset), (K_CMAP, map_incr(b"f", 1))]
+    model = ModelStore()
+    model.apply_mutation(K_CMAP, map_set(b"f", 2**63 - 1))
+    for key, m in items:
+        model.apply_mutation(key, m)
+    with driver.connect() as s:
+        apply_items(s, [(K_CMAP, map_set(b"f", 2**63 - 1))])
+        apply_items(s, items)
+        assert s.fetch(K_CMAP) == model.fetch(K_CMAP) == {b"f": 1}
 
 
 def test_scan_prefix_treats_glob_characters_literally(driver):
@@ -371,6 +387,18 @@ def test_resp_error_reply_leaves_session_in_step(mini_server):
             apply_items(s, [(K_COUNTER, incr(1)), (K_NV, set_blob(b"x"))])
         assert s.fetch(K_NV) == b"x"
         assert s.reconnects == 1
+
+
+def test_resp_store_error_retires_ledger_entry(mini_server):
+    # A batch the store rejected is finished; only a lost link leaves an
+    # entry for a retry to resume from.
+    drv = make_driver("resp", mini_server.endpoint)
+    with drv.connect() as s:
+        apply_items(s, [(K_COUNTER, set_blob(b"abc"))])
+        for _ in range(3):
+            with pytest.raises(TypeConflict):
+                apply_items(s, [(K_COUNTER, incr(1))])
+        assert s.acked == {}
 
 
 class CountingRespServer(MiniRespServer):

@@ -1,7 +1,9 @@
 """Every driver must agree with the plain-semantics model store."""
 
+import copy
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from flexstate.drivers import (
@@ -18,7 +20,9 @@ from flexstate.drivers import (
 )
 from flexstate.drivers.base import Mutation
 from flexstate.drivers.resp import _GROUP_MAX, _PIPELINE, _encode_batch
+from flexstate.errors import Overflow, TypeConflict
 from flexstate.keys import StructureType, build_key
+from flexstate.limits import INT64_MAX, INT64_MIN
 from flexstate.testing import ModelStore, random_population, random_sequence
 
 KEYS = [
@@ -117,6 +121,63 @@ def test_drivers_match_model(sequence, rnd):
         assert got == expect, f"driver {d.label} diverged"
         assert s.scan_prefix("nf1", "ins1") == model.scan_prefix("nf1", "ins1")
         s.close()
+
+
+B_COUNTER = build_key("nf1", "ins1", 0, StructureType.COUNTER, "c")
+B_CMAP = build_key("nf1", "ins1", 0, StructureType.COUNTER_MAP, "cm")
+B_KEYS = [B_COUNTER, B_CMAP]
+
+# Values within 1000 of either end of the signed 64-bit range, and deltas
+# small enough to cross an end from there or large enough to cross from
+# the other end.
+near_edge = st.one_of(
+    st.integers(INT64_MIN, INT64_MIN + 1000), st.integers(INT64_MAX - 1000, INT64_MAX)
+)
+deltas = st.one_of(st.integers(-2000, 2000), near_edge)
+
+boundary_ops = st.one_of(
+    deltas.map(lambda n: (B_COUNTER, incr(n))),
+    near_edge.map(lambda v: (B_COUNTER, Mutation("set_blob", None, b"%d" % v))),
+    st.just((B_COUNTER, delete())),
+    st.tuples(st.sampled_from(FIELDS), deltas).map(lambda fn: (B_CMAP, map_incr(*fn))),
+    st.tuples(st.sampled_from(FIELDS), near_edge).map(lambda fv: (B_CMAP, map_set(*fv))),
+    st.sampled_from(FIELDS).map(lambda f: (B_CMAP, map_del(f))),
+    st.just((B_CMAP, delete())),
+)
+
+
+@pytest.mark.parametrize("label", ["flatkvs", "tablestore"])
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.tuples(near_edge, st.lists(near_edge, min_size=len(FIELDS), max_size=len(FIELDS))),
+    batches=st.lists(st.lists(boundary_ops, min_size=1, max_size=8), min_size=1, max_size=12),
+)
+def test_boundary_batches_match_model_or_leave_store_unchanged(label, seed, batches):
+    # Each batch either lands whole and matches the model, or raises the
+    # model's error and leaves the store as it was before the batch.
+    counter, fields = seed
+    seed_items = [(B_COUNTER, Mutation("set_blob", None, b"%d" % counter))]
+    seed_items += [(B_CMAP, map_set(f, v)) for f, v in zip(FIELDS, fields)]
+    model = ModelStore()
+    for key, m in seed_items:
+        model.apply_mutation(key, m)
+    with make_driver(label).connect() as s:
+        s.apply(MutationBatch(seed_items))
+        for items in batches:
+            after = copy.deepcopy(model)
+            error = None
+            try:
+                for key, m in items:
+                    after.apply_mutation(key, m)
+            except (Overflow, TypeConflict) as exc:
+                error = type(exc)
+            if error is None:
+                s.apply(MutationBatch(list(items)))
+                model = after
+            else:
+                with pytest.raises(error):
+                    s.apply(MutationBatch(list(items)))
+            assert {key: s.fetch(key) for key in B_KEYS} == snapshot_model(model, B_KEYS)
 
 
 def test_four_way_agreement_seeded(mini_server):
