@@ -33,6 +33,7 @@ from .drivers.base import Driver, Mutation, MutationBatch
 from .errors import (
     BackpressureSignal,
     ConnectionLost,
+    StateError,
     StoreUnavailable,
     TypeConflict,
 )
@@ -275,6 +276,7 @@ class FlushStats:
     retries: int = 0
     sync_flushes: int = 0
     drain_mutations: int = 0
+    dead_letters: int = 0
     last_error: str = ""
 
     def as_dict(self) -> dict:
@@ -509,9 +511,16 @@ class Flusher:
 
     Deadlines advance by exactly one interval per tick, so a tick that
     starts late is followed by catch-up ticks and the long-run tick count
-    tracks wall clock. After a store failure the failed batch is retained
-    and retried with exponential backoff; the deadline is re-based on
-    recovery instead of replaying the outage's missed ticks.
+    tracks wall clock. After a transport failure (ConnectionLost) the
+    failed batch is retained and retried with exponential backoff; the
+    deadline is re-based on recovery instead of replaying the outage's
+    missed ticks. Any other StateError means the store refused the batch
+    (an Overflow, a TypeConflict), which a retry cannot change: the batch
+    is written to a dump file (see _dump_batch), counted in
+    stats.dead_letters, named with the error in stats.last_error, and
+    acknowledged so waiting calls proceed and the cadence keeps running.
+    The dump holds the whole batch: on a store without atomic batches
+    (resp) the mutations around the refused one may have been applied.
     """
 
     def __init__(self, cache: CoreCache, interval_us: int):
@@ -560,7 +569,7 @@ class Flusher:
                 self._backoff = RETRY_BASE_S
 
     def tick_once(self) -> bool:
-        """One cadence tick. Returns False when the store failed."""
+        """One cadence tick. Returns False when the store was unreachable."""
         with self._tick_lock:
             cache = self.cache
             stats = cache.stats
@@ -591,6 +600,13 @@ class Flusher:
             stats.last_error = str(exc)
             cache.note_flush_outcome(swap_id, False, len(batch))
             return False
+        except StateError as exc:
+            # The store refused the batch; a retry would only fail again.
+            path = cache._dump_batch(batch)
+            stats.dead_letters += 1
+            stats.last_error = f"batch dead-lettered to {path}: {exc}"
+            cache.note_flush_outcome(swap_id, True, 0)
+            return True
         stats.flushes_succeeded += 1
         stats.mutations_flushed += len(batch)
         cache.note_flush_outcome(swap_id, True, 0)

@@ -28,13 +28,13 @@ empty collection reads back as None on every driver: stores that drop a
 hash when its last field goes cannot tell the two apart, so no driver is
 allowed to.
 
-In-process stores subclass LocalDriver, which owns everything but the
-store itself:
+In-process stores subclass LocalDriver, which holds the store itself as
+one dict (self._data) and everything around it:
 
-    - one re-entrant lock around every engine access;
+    - one lock, held around every batch apply, fetch, scan, wipe and dump;
     - exactly-once batches per session: a batch whose seq is not above the
       session's last applied seq is skipped, so retrying an applied batch
-      is a no-op (wipe forgets every session's seq);
+      is a no-op (wipe forgets every session's seq along with the data);
     - all-or-nothing batches for integer failures. Before anything
       mutates, a validation pass replays the batch's integer arithmetic
       on running values per key and raises the Overflow or TypeConflict
@@ -42,10 +42,15 @@ store itself:
       unapplied. It covers incr and map_incr sums, the values that
       set_blob writes to a Counter and map_set to a CounterMap, and
       resets: map_del makes one field read 0, delete every field of the
-      key. Failures of other kinds are not checked ahead.
+      key. Failures of other kinds are not checked ahead;
+    - fetch, which is one _snapshot, and scan, which checks the nf and
+      instance tokens, then sorts, parses and snapshots the stored names
+      that _names returns for the instance's key prefix.
 
-A subclass supplies an engine with a wipe() method, _stored_int (the
-only thing validation asks of the store), _apply_one, _fetch and _scan.
+A subclass supplies only its physical layout inside self._data:
+_stored_int (the only thing validation asks of the store), _apply_one,
+_snapshot and _names, which the base calls with the lock held, and dump,
+which takes the lock itself.
 """
 
 from __future__ import annotations
@@ -56,7 +61,7 @@ import time
 from typing import ClassVar, NamedTuple
 
 from ..errors import ConnectionLost
-from ..keys import StoreKey, StructureType
+from ..keys import StoreKey, StructureType, key_prefix, parse_key
 from ..limits import as_int, check_int64
 
 UNSET_SEQ = -1
@@ -261,12 +266,12 @@ class Driver:
 
 
 class LocalDriver(Driver):
-    """In-process store skeleton: lock, seq dedup, validate-then-apply."""
+    """In-process store skeleton: the data dict, lock, seq dedup, validation."""
 
-    def __init__(self, engine):
+    def __init__(self):
         super().__init__()
-        self._engine = engine
-        self._lock = threading.RLock()
+        self._data: dict = {}
+        self._lock = threading.Lock()
         self._applied: dict[int, int] = {}  # session id -> last applied seq
 
     def _apply(self, session: DriverSession, batch: MutationBatch) -> None:
@@ -300,9 +305,19 @@ class LocalDriver(Driver):
             elif kind == "map_set" and key.structure_type is StructureType.COUNTER_MAP:
                 running.setdefault(key, {})[m.field] = as_int(m.value)
 
+    def _fetch(self, session: DriverSession, key: StoreKey):
+        with self._lock:
+            return self._snapshot(key)
+
+    def _scan(self, session: DriverSession, nf_id: str, instance_id: str):
+        prefix = key_prefix(nf_id, instance_id)
+        with self._lock:
+            keys = [parse_key(name) for name in sorted(self._names(prefix))]
+            return [(key, self._snapshot(key)) for key in keys]
+
     def _wipe(self, session: DriverSession) -> None:
         with self._lock:
-            self._engine.wipe()
+            self._data.clear()
             self._applied.clear()
 
     # Store-specific parts.
@@ -312,4 +327,16 @@ class LocalDriver(Driver):
         raise NotImplementedError
 
     def _apply_one(self, key: StoreKey, m: Mutation) -> None:
+        raise NotImplementedError
+
+    def _snapshot(self, key: StoreKey):
+        """The fetch value of one key (see the snapshot shapes above)."""
+        raise NotImplementedError
+
+    def _names(self, prefix: str):
+        """Rendered names of the stored keys that start with prefix."""
+        raise NotImplementedError
+
+    def dump(self):
+        """Copy of the raw layout, for inspection and debugging."""
         raise NotImplementedError

@@ -1,218 +1,110 @@
 """In-process store with one flat key space.
 
-Values live in a single dict keyed by the rendered store key. Value shapes
-follow string-store conventions: counters are ASCII-decimal strings that
-increments parse and rewrite, maps are field hashes, sets and lists are
-native. Deleting the last entry of a collection deletes the key.
+self._data maps each rendered store key to its value, shaped as a string
+store shapes it: counters are ASCII-decimal bytes that increments parse
+and rewrite, name-values are bytes, maps and CounterMaps are field
+hashes (CounterMap values ASCII-decimal bytes too), sets and lists are
+native. Deleting the last entry of a collection deletes the key. A write
+that finds the key holding another shape raises TypeConflict, except
+set_blob, delete and list_clear, which replace or drop whatever is there.
 
-Locking, exactly-once batches and batch validation come from LocalDriver
-(see drivers/base.py).
+Locking, exactly-once batches, batch validation, fetch and scan come from
+LocalDriver (see drivers/base.py).
 """
 
 from __future__ import annotations
 
 from ..errors import TypeConflict
-from ..keys import StoreKey, StructureType, key_prefix, parse_key
+from ..keys import StoreKey, StructureType
 from ..limits import as_int, check_int64
-from .base import DriverSession, LocalDriver, Mutation
+from .base import LocalDriver, Mutation
 
-
-class FlatStore:
-    """Dict-of-values engine. Not thread-safe: the driver serializes access."""
-
-    def __init__(self):
-        self._data: dict[str, object] = {}
-
-    def _typed(self, key: str, want: type):
-        cur = self._data.get(key)
-        if cur is not None and not isinstance(cur, want):
-            raise TypeConflict(f"key {key} holds {type(cur).__name__}")
-        return cur
-
-    def set(self, key: str, value: bytes) -> None:
-        self._data[key] = value
-
-    def get(self, key: str) -> bytes | None:
-        return self._typed(key, bytes)
-
-    def delete(self, key: str) -> int:
-        return 0 if self._data.pop(key, None) is None else 1
-
-    def incrby(self, key: str, n: int) -> int:
-        cur = self._typed(key, bytes)
-        value = check_int64((0 if cur is None else as_int(cur)) + n)
-        self._data[key] = str(value).encode()
-        return value
-
-    def hset(self, key: str, field: bytes, value: bytes) -> None:
-        cur = self._typed(key, dict)
-        if cur is None:
-            cur = self._data[key] = {}
-        cur[field] = value
-
-    def hget(self, key: str, field: bytes) -> bytes | None:
-        cur = self._typed(key, dict)
-        return None if cur is None else cur.get(field)
-
-    def hdel(self, key: str, field: bytes) -> int:
-        cur = self._typed(key, dict)
-        if cur is None or field not in cur:
-            return 0
-        del cur[field]
-        if not cur:
-            del self._data[key]
-        return 1
-
-    def hincrby(self, key: str, field: bytes, n: int) -> int:
-        cur = self._typed(key, dict)
-        if cur is None:
-            cur = self._data[key] = {}
-        value = check_int64(as_int(cur.get(field, b"0")) + n)
-        cur[field] = str(value).encode()
-        return value
-
-    def hgetall(self, key: str) -> dict[bytes, bytes]:
-        cur = self._typed(key, dict)
-        return {} if cur is None else dict(cur)
-
-    def sadd(self, key: str, member: bytes) -> int:
-        cur = self._typed(key, set)
-        if cur is None:
-            cur = self._data[key] = set()
-        if member in cur:
-            return 0
-        cur.add(member)
-        return 1
-
-    def srem(self, key: str, member: bytes) -> int:
-        cur = self._typed(key, set)
-        if cur is None or member not in cur:
-            return 0
-        cur.discard(member)
-        if not cur:
-            del self._data[key]
-        return 1
-
-    def smembers(self, key: str) -> set[bytes]:
-        cur = self._typed(key, set)
-        return set() if cur is None else set(cur)
-
-    def rpush(self, key: str, value: bytes) -> int:
-        cur = self._typed(key, list)
-        if cur is None:
-            cur = self._data[key] = []
-        cur.append(value)
-        return len(cur)
-
-    def lrange(self, key: str, start: int, stop: int) -> list[bytes]:
-        cur = self._typed(key, list)
-        if cur is None:
-            return []
-        if stop == -1:
-            return list(cur[start:])
-        return list(cur[start : stop + 1])
-
-    def llen(self, key: str) -> int:
-        cur = self._typed(key, list)
-        return 0 if cur is None else len(cur)
-
-    def keys(self, prefix: str) -> list[str]:
-        return [k for k in self._data if k.startswith(prefix)]
-
-    def items(self):
-        return self._data.items()
-
-    def wipe(self) -> None:
-        self._data.clear()
+_SHAPE = {
+    StructureType.NAME_VALUE: bytes,
+    StructureType.COUNTER: bytes,
+    StructureType.MAP: dict,
+    StructureType.COUNTER_MAP: dict,
+    StructureType.LIST: list,
+    StructureType.SET: set,
+}
 
 
 class FlatKvsDriver(LocalDriver):
     label = "flatkvs"
 
-    def __init__(self):
-        super().__init__(FlatStore())
+    def _typed(self, name: str, want: type, create: bool = False):
+        """The value under name, checked to be a want; absent is None,
+        or a new empty want stored under name when create is set."""
+        cur = self._data.get(name)
+        if cur is None:
+            if create:
+                cur = self._data[name] = want()
+        elif not isinstance(cur, want):
+            raise TypeConflict(f"key {name} holds {type(cur).__name__}")
+        return cur
 
     def _stored_int(self, key: StoreKey, field: bytes | None) -> int | None:
-        engine = self._engine
-        rendered = key.render()
-        raw = engine.get(rendered) if field is None else engine.hget(rendered, field)
+        name = key.render()
+        if field is None:
+            raw = self._typed(name, bytes)
+        else:
+            fields = self._typed(name, dict)
+            raw = None if fields is None else fields.get(field)
         return None if raw is None else as_int(raw)
 
     def _apply_one(self, key: StoreKey, m: Mutation) -> None:
-        engine = self._engine
-        rendered = key.render()
+        name = key.render()
         kind = m.kind
         if kind == "incr":
-            engine.incrby(rendered, m.value)
+            cur = self._typed(name, bytes)
+            value = check_int64((0 if cur is None else as_int(cur)) + m.value)
+            self._data[name] = str(value).encode()
         elif kind == "map_set":
             value = m.value
             if key.structure_type is StructureType.COUNTER_MAP:
                 value = str(value).encode()
-            engine.hset(rendered, m.field, value)
+            self._typed(name, dict, True)[m.field] = value
         elif kind == "map_incr":
-            engine.hincrby(rendered, m.field, m.value)
-        elif kind == "map_del":
-            engine.hdel(rendered, m.field)
+            fields = self._typed(name, dict, True)
+            value = check_int64(as_int(fields.get(m.field, b"0")) + m.value)
+            fields[m.field] = str(value).encode()
+        elif kind == "map_del" or kind == "set_del":
+            cur = self._typed(name, dict if kind == "map_del" else set)
+            if cur is not None:
+                if kind == "map_del":
+                    cur.pop(m.field, None)
+                else:
+                    cur.discard(m.value)
+                if not cur:
+                    del self._data[name]
         elif kind == "set_blob":
-            engine.set(rendered, m.value)
-        elif kind == "delete":
-            engine.delete(rendered)
+            self._data[name] = m.value
+        elif kind == "delete" or kind == "list_clear":
+            self._data.pop(name, None)
         elif kind == "list_append":
-            engine.rpush(rendered, m.value)
-        elif kind == "list_clear":
-            engine.delete(rendered)
+            self._typed(name, list, True).append(m.value)
         elif kind == "set_add":
-            engine.sadd(rendered, m.value)
-        elif kind == "set_del":
-            engine.srem(rendered, m.value)
+            self._typed(name, set, True).add(m.value)
         else:
             raise TypeConflict(f"unknown mutation kind {kind!r}")
 
-    def _fetch(self, session: DriverSession, key: StoreKey):
-        engine = self._engine
-        rendered = key.render()
+    def _snapshot(self, key: StoreKey):
         stype = key.structure_type
-        with self._lock:
-            if stype is StructureType.NAME_VALUE:
-                return engine.get(rendered)
-            if stype is StructureType.COUNTER:
-                raw = engine.get(rendered)
-                return None if raw is None else as_int(raw)
-            if stype is StructureType.MAP:
-                h = engine.hgetall(rendered)
-                return h or None
-            if stype is StructureType.COUNTER_MAP:
-                h = engine.hgetall(rendered)
-                return {f: as_int(v) for f, v in h.items()} or None
-            if stype is StructureType.LIST:
-                items = engine.lrange(rendered, 0, -1)
-                return items or None
-            if stype is StructureType.SET:
-                members = engine.smembers(rendered)
-                return members or None
-        raise TypeConflict(f"unknown structure type {stype!r}")
+        cur = self._typed(key.render(), _SHAPE[stype])
+        if cur is None or stype is StructureType.NAME_VALUE:
+            return cur
+        if stype is StructureType.COUNTER:
+            return as_int(cur)
+        if stype is StructureType.COUNTER_MAP:
+            return {f: as_int(v) for f, v in cur.items()} or None
+        return cur.copy() or None
 
-    def _scan(self, session: DriverSession, nf_id: str, instance_id: str):
-        prefix = key_prefix(nf_id, instance_id)
-        engine = self._engine
-        out = []
-        with self._lock:
-            for rendered in sorted(engine.keys(prefix)):
-                key = parse_key(rendered)
-                out.append((key, self._fetch(session, key)))
-        return out
+    def _names(self, prefix: str):
+        return [name for name in self._data if name.startswith(prefix)]
 
     def dump(self) -> dict[str, object]:
-        """Copy of the raw keyspace, for inspection and debugging."""
         with self._lock:
-            out: dict[str, object] = {}
-            for key, value in self._engine.items():
-                if isinstance(value, dict):
-                    out[key] = dict(value)
-                elif isinstance(value, set):
-                    out[key] = set(value)
-                elif isinstance(value, list):
-                    out[key] = list(value)
-                else:
-                    out[key] = value
-            return out
+            return {
+                name: value if isinstance(value, bytes) else value.copy()
+                for name, value in self._data.items()
+            }

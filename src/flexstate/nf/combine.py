@@ -11,17 +11,23 @@ from __future__ import annotations
 from ..keys import StructureType
 
 
-def combine_counters(session, nf_id: str, instance_id: str, structure_id: str) -> int:
-    """Sum one counter id across every core of an instance."""
-    total = 0
+def _shards(
+    session, nf_id: str, instance_id: str, stype: StructureType, structure_id: str
+):
+    """(key, snapshot) of each core's stored shard of one structure."""
     for key, snapshot in session.scan_prefix(nf_id, instance_id):
         if (
-            key.structure_type is StructureType.COUNTER
+            key.structure_type is stype
             and key.structure_id == structure_id
             and snapshot is not None
         ):
-            total += snapshot
-    return total
+            yield key, snapshot
+
+
+def combine_counters(session, nf_id: str, instance_id: str, structure_id: str) -> int:
+    """Sum one counter id across every core of an instance."""
+    shards = _shards(session, nf_id, instance_id, StructureType.COUNTER, structure_id)
+    return sum(snapshot for _key, snapshot in shards)
 
 
 def combine_counter_maps(
@@ -29,14 +35,11 @@ def combine_counter_maps(
 ) -> dict[bytes, int]:
     """Entry-wise sum of one CounterMap id across every core."""
     totals: dict[bytes, int] = {}
-    for key, snapshot in session.scan_prefix(nf_id, instance_id):
-        if (
-            key.structure_type is StructureType.COUNTER_MAP
-            and key.structure_id == structure_id
-            and snapshot
-        ):
-            for entry, value in snapshot.items():
-                totals[entry] = totals.get(entry, 0) + value
+    for _key, snapshot in _shards(
+        session, nf_id, instance_id, StructureType.COUNTER_MAP, structure_id
+    ):
+        for entry, value in snapshot.items():
+            totals[entry] = totals.get(entry, 0) + value
     return totals
 
 
@@ -46,13 +49,10 @@ def merge_maps(
     """Union of one Map id across cores. Writers own disjoint key ranges,
     so a plain union is exact; on overlap the highest core wins."""
     merged: dict[bytes, bytes] = {}
-    for key, snapshot in session.scan_prefix(nf_id, instance_id):
-        if (
-            key.structure_type is StructureType.MAP
-            and key.structure_id == structure_id
-            and snapshot
-        ):
-            merged.update(snapshot)
+    for _key, snapshot in _shards(
+        session, nf_id, instance_id, StructureType.MAP, structure_id
+    ):
+        merged.update(snapshot)
     return merged
 
 
@@ -60,27 +60,15 @@ def per_core_counters(
     session, nf_id: str, instance_id: str, structure_id: str
 ) -> dict[int, int]:
     """The unsummed shards, keyed by core id."""
-    shards: dict[int, int] = {}
-    for key, snapshot in session.scan_prefix(nf_id, instance_id):
-        if (
-            key.structure_type is StructureType.COUNTER
-            and key.structure_id == structure_id
-            and snapshot is not None
-        ):
-            shards[key.core_id] = snapshot
-    return shards
+    shards = _shards(session, nf_id, instance_id, StructureType.COUNTER, structure_id)
+    return {key.core_id: snapshot for key, snapshot in shards}
 
 
 def per_core_counter_maps(
     session, nf_id: str, instance_id: str, structure_id: str
 ) -> dict[int, dict[bytes, int]]:
     """Per-core CounterMap shards, keyed by core id."""
-    shards: dict[int, dict[bytes, int]] = {}
-    for key, snapshot in session.scan_prefix(nf_id, instance_id):
-        if (
-            key.structure_type is StructureType.COUNTER_MAP
-            and key.structure_id == structure_id
-            and snapshot
-        ):
-            shards[key.core_id] = dict(snapshot)
-    return shards
+    shards = _shards(
+        session, nf_id, instance_id, StructureType.COUNTER_MAP, structure_id
+    )
+    return {key.core_id: dict(snapshot) for key, snapshot in shards}

@@ -254,6 +254,15 @@ class WorkerPool:
         start = time.perf_counter()
         deadline = None if duration_s is None else start + duration_s
 
+        def offer(core: int, buf: list) -> None:
+            if lossless:
+                inboxes[core].put(buf)
+            else:
+                try:
+                    inboxes[core].put_nowait(buf)
+                except queue.Full:
+                    queue_dropped[core] += len(buf)
+
         for pkt in packets:
             flow = pkt[:5]
             core = route.get(flow)
@@ -264,25 +273,13 @@ class WorkerPool:
             packets_in += 1
             if len(buf) >= chunk_size:
                 buffers[core] = []
-                if lossless:
-                    inboxes[core].put(buf)
-                else:
-                    try:
-                        inboxes[core].put_nowait(buf)
-                    except queue.Full:
-                        queue_dropped[core] += len(buf)
+                offer(core, buf)
                 if deadline is not None and time.perf_counter() >= deadline:
                     break
 
         for core, buf in enumerate(buffers):
             if buf:
-                if lossless:
-                    inboxes[core].put(buf)
-                else:
-                    try:
-                        inboxes[core].put_nowait(buf)
-                    except queue.Full:
-                        queue_dropped[core] += len(buf)
+                offer(core, buf)
         for core in range(n):
             inboxes[core].put(None)
         for w in self.workers:

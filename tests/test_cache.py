@@ -10,13 +10,14 @@ import pytest
 import flexstate.cache as cache_mod
 from flexstate.api import StateContext
 from flexstate.cache import CoreCache
-from flexstate.drivers import make_driver
+from flexstate.drivers import MutationBatch, make_driver, set_blob
 from flexstate.errors import (
     BackpressureSignal,
     StoreUnavailable,
     TypeConflict,
 )
 from flexstate.keys import StructureType, build_key
+from flexstate.limits import INT64_MAX
 from flexstate.testing import RecordingDriver
 
 
@@ -465,3 +466,55 @@ def test_stats_merge():
     assert merged.flushes_succeeded == 2 * stats.flushes_succeeded
     assert merged.mutations_flushed == 2 * stats.mutations_flushed
     assert set(stats.as_dict()) == set(merged.as_dict())
+
+
+@pytest.mark.parametrize("label", ["flatkvs", "tablestore", "resp"])
+def test_store_error_dead_letters_batch_and_flusher_survives(label, mini_server):
+    # Another session leaves the counter 5 below the int64 limit, so the
+    # flushed incr(10) is refused by the store. The flusher must write the
+    # batch out, report it, release waiting calls and keep its cadence.
+    endpoint = mini_server.endpoint if label == "resp" else "local"
+    driver = make_driver(label, endpoint)
+    cache = CoreCache("nf1", "ins1", 0, driver, flush_interval_us=1000)
+    ctx = StateContext(cache)
+    counter = ctx.create_counter("c")
+    other = ctx.create_map("m")
+    near_max = b"%d" % (INT64_MAX - 4)
+    with driver.connect() as second:
+        second.apply(MutationBatch([(counter.key, set_blob(near_max))]))
+    counter.add_nowait(10)
+    path = None
+    try:
+        deadline = time.monotonic() + 5
+        while cache.stats.dead_letters == 0 and time.monotonic() < deadline:
+            time.sleep(0.005)
+        assert cache.stats.dead_letters == 1
+        message = cache.stats.last_error
+        path = next(p for p in message.split() if p.endswith(".json:"))[:-1]
+        with open(path) as fh:
+            rows = json.load(fh)
+        assert rows == [
+            {
+                "key": "nf1@ins1@0@Counter@c",
+                "kind": "incr",
+                "field": None,
+                "value": 10,
+            }
+        ]
+        started = time.monotonic()
+        other.insert(b"k", b"v")  # must not wait for the refused batch
+        assert time.monotonic() - started < 1.0
+        other.insert_nowait(b"k2", b"v2")  # the cadence still delivers
+        with driver.connect() as probe:
+            deadline = time.monotonic() + 5
+            while probe.fetch(other.key) != {b"k": b"v", b"k2": b"v2"}:
+                assert time.monotonic() < deadline
+                time.sleep(0.005)
+            assert probe.fetch(counter.key) == INT64_MAX - 4
+        stats = cache.drain()
+        assert stats.dead_letters == 1
+        assert stats.last_error == message
+    finally:
+        if path is not None:
+            os.unlink(path)
+        driver.close()

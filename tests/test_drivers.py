@@ -1,6 +1,7 @@
 """Driver contract: translation shapes, snapshots, batching, retries."""
 
 import math
+import random
 import time
 
 import pytest
@@ -34,7 +35,7 @@ from flexstate.errors import (
 from flexstate.keys import StructureType, build_key
 from flexstate.nf.combine import combine_counters
 from flexstate.resp.server import MiniRespServer
-from flexstate.testing import ModelStore
+from flexstate.testing import ModelStore, random_population, random_sequence
 
 K_COUNTER = build_key("nf1", "ins1", 1, StructureType.COUNTER, "counter_id")
 K_NV = build_key("nf1", "ins1", 1, StructureType.NAME_VALUE, "N")
@@ -312,6 +313,67 @@ def test_table_keyspace_per_core():
     with drv.connect() as s:
         apply_items(s, [(K_COUNTER, incr(1)), (other_core, incr(2))])
     assert set(drv.dump()) == {"nf1@ins1@1", "nf1@ins1@2"}
+
+
+# Python type of each flatkvs value, by the type token in its key.
+FLAT_SHAPES = {
+    "Namevalue": bytes,
+    "Counter": bytes,
+    "Map": dict,
+    "Countermap": dict,
+    "List": list,
+    "Set": set,
+}
+
+
+def random_dumps(label, seed):
+    """dump() after each of 120 random 25-mutation batches."""
+    rng = random.Random(seed)
+    keys = random_population(rng, cores=2, per_core_per_type=2)
+    sequence = random_sequence(rng, keys, 3000)
+    drv = make_driver(label)
+    with drv.connect() as s:
+        for start in range(0, len(sequence), 25):
+            apply_items(s, sequence[start : start + 25])
+            yield drv.dump()
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_flat_layout_after_random_batches(seed):
+    # Emptied collections disappear, and each value has its type's shape.
+    for layout in random_dumps("flatkvs", seed):
+        for name, value in layout.items():
+            token = name.split("@")[3]
+            assert type(value) is FLAT_SHAPES[token], name
+            if token == "Counter":
+                int(value)  # ASCII decimal
+            elif token != "Namevalue":
+                assert value, name
+            if token == "Countermap":
+                for raw in value.values():
+                    assert type(raw) is bytes
+                    int(raw)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_table_layout_after_random_batches(seed):
+    # Emptied rows, tables and keyspaces disappear; values keep their shape.
+    for layout in random_dumps("tablestore", seed):
+        for ks_name, tables in layout.items():
+            assert tables, ks_name
+            for token, table in tables.items():
+                assert table, (ks_name, token)
+                for key1, row in table.items():
+                    if token == "Counter":
+                        assert type(row) is int
+                    elif token == "Namevalue":
+                        assert type(row) is bytes
+                    else:
+                        assert type(row) is dict and row, (ks_name, token, key1)
+                    if token == "Countermap":
+                        assert all(type(v) is int for v in row.values())
+                    elif token == "List":
+                        assert list(row) == list(range(len(row)))
 
 
 def enc(key, m):
