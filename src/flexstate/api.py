@@ -29,11 +29,19 @@ from .limits import (
     MAX_BLOB_BYTES,
     MAX_ELEMENT_BYTES,
     MAX_MAP_KEY_BYTES,
+    INT64_MAX,
+    INT64_MIN,
     check_int64,
 )
 
+# Each check returns at once for the common input (exact bytes within the
+# limit, an exact int within int64); anything else takes the full path,
+# which converts a bytearray and raises for everything it refuses.
+
 
 def _check_blob(value: bytes) -> bytes:
+    if type(value) is bytes and len(value) <= MAX_BLOB_BYTES:
+        return value
     if not isinstance(value, (bytes, bytearray)):
         raise TypeError(f"value must be bytes, not {type(value).__name__}")
     if len(value) > MAX_BLOB_BYTES:
@@ -42,6 +50,8 @@ def _check_blob(value: bytes) -> bytes:
 
 
 def _check_element(value: bytes) -> bytes:
+    if type(value) is bytes and len(value) <= MAX_ELEMENT_BYTES:
+        return value
     if not isinstance(value, (bytes, bytearray)):
         raise TypeError(f"value must be bytes, not {type(value).__name__}")
     if len(value) > MAX_ELEMENT_BYTES:
@@ -52,6 +62,8 @@ def _check_element(value: bytes) -> bytes:
 
 
 def _check_map_key(key: bytes) -> bytes:
+    if type(key) is bytes and len(key) <= MAX_MAP_KEY_BYTES:
+        return key
     if not isinstance(key, (bytes, bytearray)):
         raise TypeError(f"map key must be bytes, not {type(key).__name__}")
     if len(key) > MAX_MAP_KEY_BYTES:
@@ -60,6 +72,8 @@ def _check_map_key(key: bytes) -> bytes:
 
 
 def _check_int(value: int) -> int:
+    if type(value) is int and INT64_MIN <= value <= INT64_MAX:
+        return value
     if not isinstance(value, int) or isinstance(value, bool):
         raise TypeError(f"expected int, not {type(value).__name__}")
     return check_int64(value)

@@ -184,7 +184,10 @@ def _run_checks(
     session,
     report: RunReport,
 ) -> dict:
-    checks: dict = {"conservation": report.conservation_ok()}
+    checks: dict = {
+        "conservation": report.conservation_ok(),
+        "no_dead_letters": not any(c.flush.get("dead_letters") for c in report.per_core),
+    }
     nf_name = scenario.nf
     if nf_name in ("counter-sync", "counter-async"):
         combined = combine_counters(

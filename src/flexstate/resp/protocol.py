@@ -76,6 +76,11 @@ def _read_line(reader, *, at_boundary: bool = False) -> bytes | None:
     line = reader.readline()
     if line.endswith(CRLF):
         return line[:-2]
+    return _line_fault(line, at_boundary)
+
+
+def _line_fault(line: bytes, at_boundary: bool) -> None:
+    """Handle a line read without its CRLF: None for a clean EOF, else raise."""
     if not line:
         if at_boundary:
             return None
@@ -100,9 +105,7 @@ def _read_bulk(reader, header: bytes) -> bytes | None:
     n = _parse_length(header, "bulk", MAX_BULK)
     if n == -1:
         return None
-    # Payload and terminator in one read: a flush's variadic command has
-    # hundreds of elements, and the bundled server parses them while holding
-    # the interpreter lock.
+    # Payload and terminator in one read.
     data = reader.read(n + 2)
     if data is None or len(data) != n + 2:
         raise ConnectionLost("connection closed mid-bulk")
@@ -147,13 +150,27 @@ def read_command(reader) -> list[bytes] | None:
     count = _parse_length(line[1:], "array", MAX_ARRAY)
     if count < 1:
         raise ProtocolError("empty command array")
+    # The element loop is spelled out rather than calling _read_line and
+    # _read_bulk: a flush's variadic command has hundreds of elements, and
+    # the bundled server parses them while holding the interpreter lock.
+    readline = reader.readline
+    read = reader.read
     parts = []
     for _ in range(count):
-        header = _read_line(reader)
+        header = readline()
+        if header[-2:] != CRLF:
+            _line_fault(header, False)
         if header[:1] != b"$":
-            raise ProtocolError(f"command element is not a bulk string: {header!r}")
-        part = _read_bulk(reader, header[1:])
-        if part is None:
+            raise ProtocolError(
+                f"command element is not a bulk string: {header[:-2]!r}"
+            )
+        n = _parse_length(header[1:-2], "bulk", MAX_BULK)
+        if n == -1:
             raise ProtocolError("nil bulk inside a command")
-        parts.append(part)
+        data = read(n + 2)
+        if data is None or len(data) != n + 2:
+            raise ConnectionLost("connection closed mid-bulk")
+        if data[n:] != CRLF:
+            raise ProtocolError("bulk payload not CRLF-terminated")
+        parts.append(data[:n])
     return parts

@@ -220,3 +220,151 @@ def test_context_properties(ctx):
     assert ctx.nf_id == "nf1"
     assert ctx.instance_id == "ins1"
     assert ctx.core_id == 0
+
+
+# The argument checks have a fast path for exact bytes and exact ints;
+# every other input must take the full path and be treated as before.
+
+
+class _Int(int):
+    pass
+
+
+class _Bytes(bytes):
+    pass
+
+
+def _int_calls(ctx):
+    c = ctx.create_counter("c")
+    cm = ctx.create_counter_map("cm")
+    return [
+        c.set,
+        c.set_nowait,
+        c.add,
+        c.add_nowait,
+        lambda n: cm.add_to(b"f", n),
+        lambda n: cm.add_to_nowait(b"f", n),
+        lambda n: cm.insert(b"f", n),
+        lambda n: cm.insert_nowait(b"f", n),
+    ]
+
+
+@pytest.mark.parametrize(
+    "value, exc, message",
+    [
+        (True, TypeError, "expected int, not bool"),
+        (False, TypeError, "expected int, not bool"),
+        (1.0, TypeError, "expected int, not float"),
+        ("1", TypeError, "expected int, not str"),
+        (2**63, Overflow, f"{2**63} outside signed 64-bit range"),
+        (-(2**63) - 1, Overflow, f"{-(2**63) - 1} outside signed 64-bit range"),
+        (_Int(2**63), Overflow, f"{2**63} outside signed 64-bit range"),
+    ],
+)
+def test_int_arguments_refused_as_before(ctx, value, exc, message):
+    for call in _int_calls(ctx):
+        with pytest.raises(exc) as info:
+            call(value)
+        assert str(info.value) == message
+    assert ctx.cache.pending_mutations == 0
+
+
+def test_int_subclass_and_limits_accepted(ctx):
+    c = ctx.create_counter("c")
+    c.set_nowait(_Int(5))
+    c.add_nowait(_Int(2))
+    assert c.read() == 7
+    c.set_nowait(2**63 - 1)
+    assert c.read() == 2**63 - 1
+    cm = ctx.create_counter_map("cm")
+    cm.insert_nowait(b"f", -(2**63))
+    cm.add_to_nowait(b"g", _Int(-3))
+    assert cm.read_all() == {b"f": -(2**63), b"g": -3}
+
+
+def _bytes_calls(ctx):
+    m = ctx.create_map("m")
+    cm = ctx.create_counter_map("cm")
+    lst = ctx.create_list("l")
+    s = ctx.create_set("s")
+    nv = ctx.create_name_value("n")
+    key_calls = [
+        lambda k: m.insert(k, b"v"),
+        lambda k: m.insert_nowait(k, b"v"),
+        m.get,
+        m.has,
+        m.remove,
+        m.remove_nowait,
+        lambda k: cm.add_to_nowait(k, 1),
+        lambda k: cm.insert(k, 1),
+        cm.get,
+    ]
+    element_calls = [
+        lambda v: m.insert(b"k", v),
+        lambda v: m.insert_nowait(b"k", v),
+        lst.push_back,
+        lst.push_back_nowait,
+        s.insert,
+        s.insert_nowait,
+        s.remove,
+        s.remove_nowait,
+        s.contains,
+    ]
+    blob_calls = [nv.create, nv.create_nowait, nv.update, nv.update_nowait]
+    return key_calls, element_calls, blob_calls
+
+
+def test_bytes_arguments_refused_as_before(ctx):
+    key_calls, element_calls, blob_calls = _bytes_calls(ctx)
+    cases = [
+        (key_calls, KeyTooLarge, MAX_MAP_KEY_BYTES, "map key"),
+        (element_calls, ValueTooLarge, MAX_ELEMENT_BYTES, "element"),
+        (blob_calls, ValueTooLarge, MAX_BLOB_BYTES, "blob"),
+    ]
+    for calls, too_large, limit, what in cases:
+        type_prefix = "map key" if what == "map key" else "value"
+        for call in calls:
+            for bad in ("k", 7, None, memoryview(b"k")):
+                with pytest.raises(TypeError) as info:
+                    call(bad)
+                assert str(info.value) == (
+                    f"{type_prefix} must be bytes, not {type(bad).__name__}"
+                )
+            for big in (b"x" * (limit + 1), bytearray(limit + 1), _Bytes(limit + 1)):
+                with pytest.raises(too_large) as info:
+                    call(big)
+                assert str(info.value) == (
+                    f"{what} of {limit + 1} bytes exceeds {limit}"
+                )
+            call(b"x" * limit)  # the limit itself is allowed
+    ctx.cache.flush_now()
+
+
+def test_bytearray_arguments_stored_as_bytes(ctx):
+    m = ctx.create_map("m")
+    m.insert_nowait(bytearray(b"k"), bytearray(b"v"))
+    m.insert_nowait(_Bytes(b"k2"), _Bytes(b"v2"))
+    cm = ctx.create_counter_map("cm")
+    cm.add_to_nowait(bytearray(b"f"), 1)
+    lst = ctx.create_list("l")
+    lst.push_back_nowait(bytearray(b"e"))
+    s = ctx.create_set("s")
+    s.insert_nowait(bytearray(b"m"))
+    nv = ctx.create_name_value("n")
+    nv.create_nowait(bytearray(b"blob"))
+    assert m.read_all() == {b"k": b"v", b"k2": b"v2"}
+    assert cm.read_all() == {b"f": 1}
+    assert lst.read_all() == [b"e"]
+    assert s.read_all() == {b"m"}
+    assert nv.get() == b"blob"
+    stored = [
+        *m.read_all(),
+        *m.read_all().values(),
+        *cm.read_all(),
+        *lst.read_all(),
+        *s.read_all(),
+        nv.get(),
+    ]
+    assert all(type(x) is bytes for x in stored)  # == alone accepts bytearray
+    assert m.get(bytearray(b"k")) == b"v"
+    assert s.contains(bytearray(b"m"))

@@ -7,6 +7,7 @@ correctness checks, sweeps, and output formats, not to measure throughput.
 import csv
 import io
 import json
+import os
 
 import pytest
 
@@ -365,3 +366,51 @@ def test_cli_reports_errors_on_stderr(argv, capsys):
 def test_cli_requires_subcommand(capsys):
     with pytest.raises(SystemExit):
         main([])
+
+
+# Dead letters fail the repetition.
+
+
+def test_dead_lettered_batch_fails_the_repetition(monkeypatch):
+    # The store applies its first batch, then refuses it, as a store
+    # without atomic batches can: every mutation lands, so only the
+    # dead-letter check can tell that the run lost a batch's report.
+    from flexstate.errors import Overflow
+    from flexstate.testing import RecordingDriver
+
+    class RefuseOnce(RecordingDriver):
+        refused = False
+
+        def _apply(self, session, batch):
+            super()._apply(session, batch)
+            if not self.refused:
+                self.refused = True
+                raise Overflow("injected refusal")
+
+    drivers = []
+
+    def make_refusing(label, endpoint="local"):
+        driver = RefuseOnce(bench_make_driver(label, endpoint))
+        drivers.append(driver)
+        return driver
+
+    bench_make_driver = bench.make_driver
+    monkeypatch.setattr(bench, "make_driver", make_refusing)
+    report = bench.run_scenario(tiny(cores=1, repetitions=1))
+    rep = report.reps[0]
+    flush = rep.report.per_core[0].flush
+    path = next(p for p in flush["last_error"].split() if p.endswith(".json:"))[:-1]
+    os.unlink(path)
+    assert flush["dead_letters"] == 1
+    assert rep.checks["no_dead_letters"] is False
+    failed = [k for k, v in rep.checks.items() if v is False]
+    assert failed == ["no_dead_letters"]
+    assert not rep.passed()
+    assert not report.passed
+    assert drivers[0].refused
+
+
+def test_clean_repetition_has_no_dead_letters():
+    report = bench.run_scenario(tiny(cores=2, repetitions=1))
+    assert report.reps[0].checks["no_dead_letters"] is True
+    assert report.reps[0].passed()

@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import threading
 import time
 
@@ -518,3 +519,133 @@ def test_store_error_dead_letters_batch_and_flusher_survives(label, mini_server)
         if path is not None:
             os.unlink(path)
         driver.close()
+
+
+@pytest.mark.parametrize("label", ["flatkvs", "tablestore", "resp"])
+def test_drain_dead_letters_refused_batch(label, mini_server):
+    # The flusher's first try at incr(10) loses the connection, so drain
+    # finds it retained; by then another session has left the counter 5
+    # below the int64 limit and the store refuses it. drain must write
+    # that batch out, report it, push the next batch and close sessions.
+    endpoint = mini_server.endpoint if label == "resp" else "local"
+    inner = make_driver(label, endpoint)
+    rec = RecordingDriver(inner)
+    cache = make_cache(rec)
+    ctx = StateContext(cache)
+    counter = ctx.create_counter("c")
+    other = ctx.create_map("m")
+    counter.add_nowait(10)
+    rec.fail_applies = 1
+    cache.flush_now()
+    assert cache.flusher.retained_batch is not None
+    with inner.connect() as second:
+        near_max = b"%d" % (INT64_MAX - 4)
+        second.apply(MutationBatch([(counter.key, set_blob(near_max))]))
+    other.insert_nowait(b"k", b"v")
+    path = None
+    try:
+        stats = cache.drain(timeout_s=1.0)
+        assert stats.dead_letters == 1
+        message = stats.last_error
+        assert message.startswith("batch dead-lettered to ")
+        path = next(p for p in message.split() if p.endswith(".json:"))[:-1]
+        with open(path) as fh:
+            rows = json.load(fh)
+        assert rows == [
+            {
+                "key": "nf1@ins1@0@Counter@c",
+                "kind": "incr",
+                "field": None,
+                "value": 10,
+            }
+        ]
+        assert stats.drain_mutations == 1  # only the batch that landed
+        assert cache.worker_session.closed and cache.flusher_session.closed
+        with inner.connect() as probe:
+            assert probe.fetch(counter.key) == INT64_MAX - 4
+            assert probe.fetch(other.key) == {b"k": b"v"}
+    finally:
+        if path is not None:
+            os.unlink(path)
+        inner.close()
+
+
+def _random_nowait_ops(ctx, rng, n, yield_every):
+    counter = ctx.create_counter("c")
+    m = ctx.create_map("m")
+    cm = ctx.create_counter_map("cm")
+    lst = ctx.create_list("l")
+    s = ctx.create_set("s")
+    fields = [b"f%d" % i for i in range(16)]
+    ops = [
+        lambda: counter.add_nowait(rng.randint(-1000, 1000)),
+        lambda: counter.set_nowait(rng.randint(-10**6, 10**6)),
+        lambda: counter.delete_nowait(),
+        lambda: m.insert_nowait(rng.choice(fields), rng.randbytes(4)),
+        lambda: m.remove_nowait(rng.choice(fields)),
+        lambda: m.delete_nowait(),
+        lambda: cm.add_to_nowait(rng.choice(fields), rng.randint(-500, 500)),
+        lambda: cm.insert_nowait(rng.choice(fields), rng.randint(-500, 500)),
+        lambda: cm.remove_nowait(rng.choice(fields)),
+        lambda: cm.delete_nowait(),
+        lambda: lst.push_back_nowait(rng.randbytes(3)),
+        lambda: lst.clear_nowait(),
+        lambda: s.insert_nowait(rng.choice(fields)),
+        lambda: s.remove_nowait(rng.choice(fields)),
+    ]
+    # Deletes and clears are rarer, so the structures keep some content.
+    weights = [8, 2, 1, 8, 3, 1, 8, 2, 3, 1, 6, 1, 6, 4]
+    for i, op in enumerate(rng.choices(ops, weights, k=n)):
+        op()
+        if i % yield_every == 0:
+            time.sleep(0)  # let a waiting flusher in
+    return counter, m, cm, lst, s
+
+
+@pytest.mark.parametrize("label", ["flatkvs", "tablestore"])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_owner_mutations_and_flusher_exclude_each_other(label, seed, monkeypatch):
+    # One owner thread folds 20,000 random mutations while the flusher
+    # swaps the pending log out every 100 us. The owner gives up the GIL
+    # every 20 mutations and the flusher at every mutation it collects, so
+    # the owner runs in the middle of swaps: only the cache lock keeps a
+    # fold from landing between a structure's collect and its reset, which
+    # would lose or double it, or from resizing a pending dict that
+    # collect is walking.
+    add = MutationBatch.add
+
+    def yielding_add(batch, key, mutation):
+        add(batch, key, mutation)
+        time.sleep(0)
+
+    monkeypatch.setattr(MutationBatch, "add", yielding_add)
+    driver = make_driver(label)
+    cache = CoreCache("nf1", "ins1", 0, driver, flush_interval_us=100)
+    ctx = StateContext(cache)
+    handles = []
+    errors = []
+
+    def owner():
+        try:
+            rng = random.Random(seed)
+            handles.extend(_random_nowait_ops(ctx, rng, 20_000, yield_every=20))
+        except Exception as exc:  # surfaced below
+            errors.append(exc)
+
+    thread = threading.Thread(target=owner)
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    flusher_alive = cache.flusher._thread.is_alive()
+    stats = cache.drain()
+    assert not errors
+    assert flusher_alive
+    assert stats.dead_letters == 0
+    assert stats.flushes_succeeded >= 2  # the flusher ran alongside the owner
+    counter, m, cm, lst, s = handles
+    with driver.connect() as probe:
+        assert probe.fetch(counter.key) == (counter.read() if counter.exists() else None)
+        assert (probe.fetch(m.key) or {}) == m.read_all()
+        assert (probe.fetch(cm.key) or {}) == cm.read_all()
+        assert (probe.fetch(lst.key) or []) == lst.read_all()
+        assert (probe.fetch(s.key) or set()) == s.read_all()

@@ -130,3 +130,42 @@ def test_pipelined_replies_consume_exactly():
     assert read_reply(stream) == 1
     assert read_reply(stream) == 2
     assert read_reply(stream) == b"OK"
+
+
+_GET = b"*2\r\n$3\r\nGET\r\n"
+
+
+@pytest.mark.parametrize(
+    "tail, exc, message",
+    [
+        (b"", ConnectionLost, "connection closed mid-frame"),
+        (b"$3\r\nke", ConnectionLost, "connection closed mid-bulk"),
+        (b"$3", ConnectionLost, "connection closed mid-line"),
+        (b"$3\nkey\r\n", ProtocolError, "line without CRLF terminator: b'$3\\n'"),
+        (b"$x\r\nkey\r\n", ProtocolError, "bad bulk length b'x'"),
+        (b"$-2\r\nkey\r\n", ProtocolError, "bulk length -2 out of range"),
+        (b"$67108865\r\n", ProtocolError, "bulk length 67108865 out of range"),
+        (b"$3\r\nkeyXY", ProtocolError, "bulk payload not CRLF-terminated"),
+        (b"+OK\r\n", ProtocolError, "command element is not a bulk string: b'+OK'"),
+        (b"$-1\r\n", ProtocolError, "nil bulk inside a command"),
+    ],
+)
+def test_read_command_element_faults(tail, exc, message):
+    with pytest.raises(exc) as info:
+        read_command(io.BytesIO(_GET + tail))
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "wire, parts",
+    [
+        (_GET + b"$ 3\r\nkey\r\n", [b"GET", b"key"]),
+        (_GET + b"$+3\r\nkey\r\n", [b"GET", b"key"]),
+        (_GET + b"$0\r\n\r\n", [b"GET", b""]),
+        (b"*1\r\n$4\r\na\r\nb\r\n", [b"a\r\nb"]),  # CRLF inside a payload
+    ],
+)
+def test_read_command_element_edge_cases(wire, parts):
+    stream = io.BytesIO(wire + b"*1\r\n$4\r\nPING\r\n")
+    assert read_command(stream) == parts
+    assert read_command(stream) == [b"PING"]  # consumed exactly one command
