@@ -87,6 +87,8 @@ class _NameValueState:
             return 0
         if p[0] == "set":
             batch.add(self.key, Mutation("set_blob", None, p[1]))
+        elif p[0] == "incr":
+            batch.add(self.key, Mutation("incr", None, p[1]))
         else:
             batch.add(self.key, Mutation("delete"))
         self.pend = None
@@ -113,19 +115,6 @@ class _CounterState(_NameValueState):
             delta = 0
         self.live = value
         return delta
-
-    def collect(self, batch: MutationBatch) -> int:
-        p = self.pend
-        if p is None:
-            return 0
-        if p[0] == "set":
-            batch.add(self.key, Mutation("set_blob", None, b"%d" % p[1]))
-        elif p[0] == "incr":
-            batch.add(self.key, Mutation("incr", None, p[1]))
-        else:
-            batch.add(self.key, Mutation("delete"))
-        self.pend = None
-        return 1
 
 
 class _MapState:
@@ -292,15 +281,6 @@ class FlushStats:
 
     def as_dict(self) -> dict:
         return dict(self.__dict__)
-
-    def merged_with(self, other: "FlushStats") -> "FlushStats":
-        out = FlushStats(**self.__dict__)
-        for key, value in other.__dict__.items():
-            if isinstance(value, int):
-                setattr(out, key, getattr(out, key) + value)
-        if other.last_error:
-            out.last_error = other.last_error
-        return out
 
 
 class CoreCache:
@@ -479,14 +459,16 @@ class CoreCache:
         A batch the store refuses (a non-transport StateError) is
         dead-lettered as the flusher does it, and drain goes on with the
         next batch; a store that stays unreachable past timeout_s raises
-        StoreUnavailable after the batch is written out.
+        StoreUnavailable after that batch and every one after it are
+        written out, in order, to one dump.
         """
         self.flusher.stop()
         retained = self.flusher.retained_batch
         final, swap_id = self.take_pending()
+        batches = [batch for batch in (retained, final) if batch]
         try:
-            for batch in (retained, final):
-                if batch and self._drain_batch(batch, timeout_s):
+            for i, batch in enumerate(batches):
+                if self._drain_batch(batches[i:], timeout_s):
                     self.stats.drain_mutations += len(batch)
             if swap_id is not None:
                 self.note_flush_outcome(swap_id, True, 0)
@@ -495,8 +477,12 @@ class CoreCache:
             self.flusher_session.close()
         return self.stats
 
-    def _drain_batch(self, batch: MutationBatch, timeout_s: float) -> bool:
-        """Apply one batch; False when the store refused it (dead-lettered)."""
+    def _drain_batch(self, left: list[MutationBatch], timeout_s: float) -> bool:
+        """Apply left[0]; False when the store refused it (dead-lettered).
+
+        A store still unreachable after timeout_s gets all of left dumped.
+        """
+        batch = left[0]
         deadline = time.monotonic() + timeout_s
         delay = RETRY_BASE_S
         while True:
@@ -507,7 +493,8 @@ class CoreCache:
                 self.stats.retries += 1
                 self.stats.last_error = str(exc)
                 if time.monotonic() + delay > deadline:
-                    path = self._dump_batch(batch)
+                    items = [item for b in left for item in b.items]
+                    path = self._dump_batch(MutationBatch(items))
                     raise StoreUnavailable(
                         f"drain failed, mutations kept in {path}: {exc}"
                     ) from exc

@@ -6,8 +6,7 @@ anything store-specific; swapping stores is a config edit.
 
 Mutation kinds and their payloads:
 
-    set_blob(value)        whole-value write (blob bytes; counters use
-                           ASCII-decimal bytes so string stores can parse)
+    set_blob(value)        whole-value write (bytes; an int for a Counter)
     delete()               drop the structure
     incr(n)                add n to a counter (absent counts as 0)
     map_set(field, value)  write one map entry (CounterMap values are ints)
@@ -17,6 +16,9 @@ Mutation kinds and their payloads:
     list_clear()           drop all elements
     set_add(value)         add one member
     set_del(value)         drop one member
+
+Counter values travel as ints in every kind; a driver whose store holds
+strings renders them as ASCII decimal at its own edge.
 
 Batches carry a per-session sequence number, stamped on first apply and
 kept across retries so stores that track sequences can discard duplicates.
@@ -40,9 +42,10 @@ one dict (self._data) and everything around it:
       on running values per key and raises the Overflow or TypeConflict
       the batch would hit, so an overflow in item 7 leaves items 1..6
       unapplied. It covers incr and map_incr sums, the values that
-      set_blob writes to a Counter and map_set to a CounterMap, and
-      resets: map_del makes one field read 0, delete every field of the
-      key. Failures of other kinds are not checked ahead;
+      set_blob writes to a Counter and map_set to a CounterMap (a non-int
+      is a TypeConflict), and resets: map_del makes one field read 0,
+      delete every field of the key. Failures of other kinds are not
+      checked ahead;
     - fetch, which is one _snapshot, and scan, which checks the nf and
       instance tokens, then sorts, parses and snapshots the stored names
       that _names returns for the instance's key prefix.
@@ -60,26 +63,11 @@ import threading
 import time
 from typing import ClassVar, NamedTuple
 
-from ..errors import ConnectionLost
+from ..errors import ConnectionLost, TypeConflict
 from ..keys import StoreKey, StructureType, key_prefix, parse_key
-from ..limits import as_int, check_int64
+from ..limits import check_int64
 
 UNSET_SEQ = -1
-
-KINDS = frozenset(
-    {
-        "set_blob",
-        "delete",
-        "incr",
-        "map_set",
-        "map_del",
-        "map_incr",
-        "list_append",
-        "list_clear",
-        "set_add",
-        "set_del",
-    }
-)
 
 
 class Mutation(NamedTuple):
@@ -88,7 +76,7 @@ class Mutation(NamedTuple):
     value: object = None
 
 
-def set_blob(value: bytes) -> Mutation:
+def set_blob(value: bytes | int) -> Mutation:
     return Mutation("set_blob", None, value)
 
 
@@ -300,10 +288,12 @@ class LocalDriver(Driver):
                 dropped.add(key)
             elif kind == "map_del":
                 running.setdefault(key, {})[m.field] = 0
-            elif kind == "set_blob" and key.structure_type is StructureType.COUNTER:
-                running.setdefault(key, {})[None] = as_int(m.value)
-            elif kind == "map_set" and key.structure_type is StructureType.COUNTER_MAP:
-                running.setdefault(key, {})[m.field] = as_int(m.value)
+            elif (kind == "set_blob" and key.structure_type is StructureType.COUNTER) or (
+                kind == "map_set" and key.structure_type is StructureType.COUNTER_MAP
+            ):
+                if not isinstance(m.value, int):
+                    raise TypeConflict(f"value {m.value!r} is not an integer")
+                running.setdefault(key, {})[m.field] = m.value
 
     def _fetch(self, session: DriverSession, key: StoreKey):
         with self._lock:

@@ -4,9 +4,11 @@ self._data maps each rendered store key to its value, shaped as a string
 store shapes it: counters are ASCII-decimal bytes that increments parse
 and rewrite, name-values are bytes, maps and CounterMaps are field
 hashes (CounterMap values ASCII-decimal bytes too), sets and lists are
-native. Deleting the last entry of a collection deletes the key. A write
-that finds the key holding another shape raises TypeConflict, except
-set_blob, delete and list_clear, which replace or drop whatever is there.
+native. Mutations carry counter values as ints: _ascii renders them on
+the way in, as_int parses them on the way out. Deleting the last entry
+of a collection deletes the key. A write that finds the key holding
+another shape raises TypeConflict, except set_blob, delete and
+list_clear, which replace or drop whatever is there.
 
 Locking, exactly-once batches, batch validation, fetch and scan come from
 LocalDriver (see drivers/base.py).
@@ -27,6 +29,11 @@ _SHAPE = {
     StructureType.LIST: list,
     StructureType.SET: set,
 }
+
+
+def _ascii(value) -> bytes:
+    """value as this store holds it: an int in ASCII decimal, bytes as is."""
+    return b"%d" % value if isinstance(value, int) else value
 
 
 class FlatKvsDriver(LocalDriver):
@@ -58,16 +65,13 @@ class FlatKvsDriver(LocalDriver):
         if kind == "incr":
             cur = self._typed(name, bytes)
             value = check_int64((0 if cur is None else as_int(cur)) + m.value)
-            self._data[name] = str(value).encode()
+            self._data[name] = _ascii(value)
         elif kind == "map_set":
-            value = m.value
-            if key.structure_type is StructureType.COUNTER_MAP:
-                value = str(value).encode()
-            self._typed(name, dict, True)[m.field] = value
+            self._typed(name, dict, True)[m.field] = _ascii(m.value)
         elif kind == "map_incr":
             fields = self._typed(name, dict, True)
             value = check_int64(as_int(fields.get(m.field, b"0")) + m.value)
-            fields[m.field] = str(value).encode()
+            fields[m.field] = _ascii(value)
         elif kind == "map_del" or kind == "set_del":
             cur = self._typed(name, dict if kind == "map_del" else set)
             if cur is not None:
@@ -78,7 +82,7 @@ class FlatKvsDriver(LocalDriver):
                 if not cur:
                     del self._data[name]
         elif kind == "set_blob":
-            self._data[name] = m.value
+            self._data[name] = _ascii(m.value)
         elif kind == "delete" or kind == "list_clear":
             self._data.pop(name, None)
         elif kind == "list_append":

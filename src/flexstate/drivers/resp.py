@@ -2,9 +2,12 @@
 
 Each session owns one TCP connection. A batch becomes a deterministic list
 of commands, pipelined in chunks: commands go out together and replies are
-read back in order. Runs of consecutive mutations that share a key and one
-of the idempotent kinds travel as one variadic command of at most
-_GROUP_MAX mutations:
+read back in order. Each mutation kind names one command (_COMMANDS),
+whose arguments are the key and then the mutation's field and value where
+it has them; counter values, ints in every mutation, go out in ASCII
+decimal. Runs of consecutive mutations that share a key and one of the
+idempotent kinds travel as one variadic command of at most _GROUP_MAX
+mutations:
 
     map_set  -> HSET key f1 v1 f2 v2 ...
     map_del  -> HDEL key f1 f2 ...
@@ -12,8 +15,8 @@ _GROUP_MAX mutations:
     set_del  -> SREM key m1 m2 ...
 
 Every other kind (incr, map_incr, list_append, set_blob, delete,
-list_clear) keeps one command per mutation: the counting kinds are not
-idempotent and the rest have no variadic form worth grouping.
+list_clear) is a run of one: the counting kinds are not idempotent and the
+rest have no variadic form worth grouping.
 
 Every reply read advances a per-batch acknowledgement count. When the
 connection dies mid-batch the session remembers how many commands were
@@ -45,7 +48,8 @@ from ..errors import (
     TypeConflict,
 )
 from ..keys import StoreKey, StructureType, key_prefix, parse_key
-from .base import Driver, DriverSession, Mutation, MutationBatch
+from ..limits import as_int
+from .base import Driver, DriverSession, MutationBatch
 from ..resp import protocol
 from ..resp.protocol import RespError
 
@@ -56,12 +60,21 @@ _CONNECT_TIMEOUT_S = 5.0
 # server's MAX_ARRAY and the resend unit after a reconnect small.
 _GROUP_MAX = 256
 
-_GROUPED = {
+_COMMANDS = {
+    "set_blob": b"SET",
+    "delete": b"DEL",
+    "incr": b"INCRBY",
     "map_set": b"HSET",
     "map_del": b"HDEL",
+    "map_incr": b"HINCRBY",
+    "list_append": b"RPUSH",
+    "list_clear": b"DEL",
     "set_add": b"SADD",
     "set_del": b"SREM",
 }
+
+# Kinds whose same-key runs travel as one variadic command.
+_GROUPED = frozenset({"map_set", "map_del", "set_add", "set_del"})
 
 # Each glob metacharacter as a one-character class, which Redis glob and
 # fnmatch both read as the literal character.
@@ -79,34 +92,6 @@ def _raise_reply(error: RespError):
     raise ProtocolError(f"unexpected error reply: {message}")
 
 
-def _encode_mutation(rendered: bytes, stype: StructureType, m: Mutation) -> bytes:
-    kind = m.kind
-    if kind == "incr":
-        return protocol.encode_command(b"INCRBY", rendered, b"%d" % m.value)
-    if kind == "map_set":
-        value = m.value
-        if stype is StructureType.COUNTER_MAP:
-            value = b"%d" % value
-        return protocol.encode_command(b"HSET", rendered, m.field, value)
-    if kind == "map_incr":
-        return protocol.encode_command(b"HINCRBY", rendered, m.field, b"%d" % m.value)
-    if kind == "map_del":
-        return protocol.encode_command(b"HDEL", rendered, m.field)
-    if kind == "set_blob":
-        return protocol.encode_command(b"SET", rendered, m.value)
-    if kind == "delete":
-        return protocol.encode_command(b"DEL", rendered)
-    if kind == "list_append":
-        return protocol.encode_command(b"RPUSH", rendered, m.value)
-    if kind == "list_clear":
-        return protocol.encode_command(b"DEL", rendered)
-    if kind == "set_add":
-        return protocol.encode_command(b"SADD", rendered, m.value)
-    if kind == "set_del":
-        return protocol.encode_command(b"SREM", rendered, m.value)
-    raise ProtocolError(f"unknown mutation kind {kind!r}")
-
-
 def _encode_batch(items: list) -> list[bytes]:
     """Commands for a batch's mutations, in batch order.
 
@@ -119,32 +104,27 @@ def _encode_batch(items: list) -> list[bytes]:
     last_key = None
     while i < n:
         key, m = items[i]
-        if key is not last_key and key != last_key:
+        if key is not last_key:  # flushes share one key object per structure
             rendered = key.render().encode("ascii")
             last_key = key
         kind = m.kind
-        name = _GROUPED.get(kind)
+        name = _COMMANDS.get(kind)
         if name is None:
-            commands.append(_encode_mutation(rendered, key.structure_type, m))
-            i += 1
-            continue
-        end = min(i + _GROUP_MAX, n)
+            raise ProtocolError(f"unknown mutation kind {kind!r}")
         j = i + 1
-        while j < end:
-            other_key, other = items[j]
-            if other.kind != kind or (other_key is not key and other_key != key):
-                break
-            j += 1
+        if kind in _GROUPED:
+            end = min(i + _GROUP_MAX, n)
+            while j < end:
+                other_key, other = items[j]
+                if other.kind != kind or (other_key is not key and other_key != key):
+                    break
+                j += 1
         args = [name, rendered]
-        if kind == "map_set":
-            counts = key.structure_type is StructureType.COUNTER_MAP
-            for _k, run_m in items[i:j]:
-                args.append(run_m.field)
-                args.append(b"%d" % run_m.value if counts else run_m.value)
-        elif kind == "map_del":
-            args.extend(run_m.field for _k, run_m in items[i:j])
-        else:
-            args.extend(run_m.value for _k, run_m in items[i:j])
+        for _k, (_kind, field, value) in items[i:j]:
+            if field is not None:
+                args.append(field)
+            if value is not None:
+                args.append(b"%d" % value if isinstance(value, int) else value)
         commands.append(protocol.encode_command(*args))
         i = j
     return commands
@@ -229,15 +209,7 @@ class RespDriver(Driver):
         return RespSession(self, session_id, inject_latency_us, self._address)
 
     def _apply(self, session: RespSession, batch: MutationBatch) -> None:
-        items = batch.items
-        # Every waiting call is a batch of one; it skips the run scan.
-        if len(items) == 1:
-            key, m = items[0]
-            commands = [
-                _encode_mutation(key.render().encode("ascii"), key.structure_type, m)
-            ]
-        else:
-            commands = _encode_batch(items)
+        commands = _encode_batch(batch.items)
         seq = batch.seq
         acked = session.acked
         skip = acked.setdefault(seq, 0)
@@ -272,17 +244,12 @@ class RespDriver(Driver):
         if stype is StructureType.NAME_VALUE:
             return reply
         if stype is StructureType.COUNTER:
-            if reply is None:
-                return None
-            try:
-                return int(reply)
-            except ValueError:
-                raise TypeConflict(f"counter value {reply!r} is not an integer") from None
+            return None if reply is None else as_int(reply)
         if stype is StructureType.MAP:
             pairs = dict(zip(reply[0::2], reply[1::2]))
             return pairs or None
         if stype is StructureType.COUNTER_MAP:
-            pairs = {f: int(v) for f, v in zip(reply[0::2], reply[1::2])}
+            pairs = {f: as_int(v) for f, v in zip(reply[0::2], reply[1::2])}
             return pairs or None
         if stype is StructureType.LIST:
             return list(reply) or None

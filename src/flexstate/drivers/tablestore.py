@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from ..errors import TypeConflict
 from ..keys import StoreKey, StructureType
-from ..limits import as_int, check_int64
+from ..limits import check_int64
 from .base import LocalDriver, Mutation
 
 
@@ -53,23 +53,18 @@ class TableStoreDriver(LocalDriver):
     def _apply_one(self, key: StoreKey, m: Mutation) -> None:
         kind = m.kind
         key1 = key.structure_id
-        stype = key.structure_type
         if kind == "incr":
             table = self._table(key, True)
             table[key1] = check_int64(table.get(key1, 0) + m.value)
         elif kind == "set_blob":
-            value = as_int(m.value) if stype is StructureType.COUNTER else m.value
-            self._table(key, True)[key1] = value
+            self._table(key, True)[key1] = m.value
         elif kind in ("map_set", "map_incr", "list_append", "set_add"):
             table = self._table(key, True)
             rows = table.get(key1)
             if rows is None:
                 rows = table[key1] = {}
             if kind == "map_set":
-                value = m.value
-                if stype is StructureType.COUNTER_MAP:
-                    value = as_int(value)
-                rows[m.field] = value
+                rows[m.field] = m.value
             elif kind == "map_incr":
                 rows[m.field] = check_int64(rows.get(m.field, 0) + m.value)
             elif kind == "list_append":
@@ -88,7 +83,7 @@ class TableStoreDriver(LocalDriver):
             del table[key1]
             if not table:
                 keyspace = self._data[_keyspace_of(key)]
-                del keyspace[stype.token]
+                del keyspace[key.structure_type.token]
                 if not keyspace:
                     del self._data[_keyspace_of(key)]
         else:

@@ -22,10 +22,6 @@ class TypeConflict(StateError):
     """An operation addressed a structure or stored value of another type."""
 
 
-class NotFound(StateError):
-    """A read addressed a structure or entry that does not exist."""
-
-
 class KeyTooLarge(StateError):
     """A map key exceeded the 1 KiB limit."""
 

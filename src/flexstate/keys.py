@@ -45,10 +45,6 @@ class StructureType(enum.Enum):
 _TYPE_BY_TOKEN = {t.value: t for t in StructureType}
 
 
-def valid_token(text: str) -> bool:
-    return bool(_TOKEN_RE.match(text))
-
-
 def check_token(text: str, what: str) -> str:
     if not isinstance(text, str) or not _TOKEN_RE.match(text):
         raise InvalidToken(f"{what} {text!r} must be printable ASCII without '@'")

@@ -32,10 +32,7 @@ class ModelStore:
         data = self._data
         kind = m.kind
         if kind == "set_blob":
-            if key.structure_type is StructureType.COUNTER:
-                data[name] = int(m.value)
-            else:
-                data[name] = m.value
+            data[name] = m.value
         elif kind == "delete":
             data.pop(name, None)
         elif kind == "incr":
@@ -44,11 +41,7 @@ class ModelStore:
                 raise Overflow(f"{value} outside signed 64-bit range")
             data[name] = value
         elif kind == "map_set":
-            entries = data.setdefault(name, {})
-            if key.structure_type is StructureType.COUNTER_MAP:
-                entries[m.field] = int(m.value)
-            else:
-                entries[m.field] = m.value
+            data.setdefault(name, {})[m.field] = m.value
         elif kind == "map_del":
             entries = data.get(name)
             if entries is not None:
@@ -194,7 +187,7 @@ def random_mutation(rng: random.Random, key: StoreKey) -> Mutation:
         if roll < 0.80:
             return Mutation("incr", None, rng.randint(-1000, 1000))
         if roll < 0.95:
-            return Mutation("set_blob", None, b"%d" % rng.randint(-10000, 10000))
+            return Mutation("set_blob", None, rng.randint(-10000, 10000))
         return Mutation("delete")
     if stype is StructureType.NAME_VALUE:
         if roll < 0.90:

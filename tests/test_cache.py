@@ -11,7 +11,20 @@ import pytest
 import flexstate.cache as cache_mod
 from flexstate.api import StateContext
 from flexstate.cache import CoreCache
-from flexstate.drivers import MutationBatch, make_driver, set_blob
+from flexstate.drivers import (
+    MutationBatch,
+    delete,
+    incr,
+    list_append,
+    list_clear,
+    make_driver,
+    map_del,
+    map_incr,
+    map_set,
+    set_add,
+    set_blob,
+    set_del,
+)
 from flexstate.errors import (
     BackpressureSignal,
     StoreUnavailable,
@@ -57,7 +70,7 @@ def test_set_then_adds_fold_to_one_set():
     counter.set_nowait(10)
     counter.add_nowait(-4)
     cache.flush_now()
-    assert flush_kinds(rec) == [("set_blob", None, b"6")]
+    assert flush_kinds(rec) == [("set_blob", None, 6)]
     cache.drain()
 
 
@@ -70,7 +83,7 @@ def test_delete_then_add_folds_to_set():
     counter.delete_nowait()
     counter.add_nowait(3)
     cache.flush_now()
-    assert flush_kinds(rec)[-1] == ("set_blob", None, b"3")
+    assert flush_kinds(rec)[-1] == ("set_blob", None, 3)
     assert counter.read() == 3
     cache.drain()
 
@@ -371,6 +384,87 @@ def test_drain_dumps_batch_when_store_stays_down():
         os.unlink(path)
 
 
+def test_drain_dumps_every_batch_left_when_store_stays_down():
+    # The retained batch and the final one both stay unapplied: the dump
+    # must hold both, in order, not only the first.
+    cache, rec = recording_cache()
+    ctx = StateContext(cache)
+    counter = ctx.create_counter("c")
+    m = ctx.create_map("m")
+    rec.fail_applies = 10**9
+    counter.add_nowait(5)
+    cache.flush_now()
+    assert cache.flusher.retained_batch is not None
+    m.insert_nowait(b"k", b"v")
+    with pytest.raises(StoreUnavailable) as info:
+        cache.drain(timeout_s=0.2)
+    message = str(info.value)
+    path = next(p for p in message.split() if p.endswith(".json:"))[:-1]
+    try:
+        with open(path) as fh:
+            rows = json.load(fh)
+        assert rows == [
+            {"key": "nf1@ins1@0@Counter@c", "kind": "incr", "field": None, "value": 5},
+            {
+                "key": "nf1@ins1@0@Map@m",
+                "kind": "map_set",
+                "field": {"b64": "aw=="},
+                "value": {"b64": "dg=="},
+            },
+        ]
+    finally:
+        os.unlink(path)
+
+
+def test_dump_rows_of_every_mutation_kind():
+    # Bytes travel as {"b64": ...}; counter values, ints in every kind,
+    # as plain JSON ints.
+    cache = make_cache()
+    key = {
+        stype: build_key("nf1", "ins1", 0, stype, "s") for stype in StructureType
+    }
+    batch = MutationBatch(
+        [
+            (key[StructureType.COUNTER], set_blob(10)),
+            (key[StructureType.COUNTER], incr(-4)),
+            (key[StructureType.NAME_VALUE], set_blob(b"blob")),
+            (key[StructureType.NAME_VALUE], delete()),
+            (key[StructureType.MAP], map_set(b"f", b"v")),
+            (key[StructureType.MAP], map_del(b"f")),
+            (key[StructureType.COUNTER_MAP], map_set(b"f", 7)),
+            (key[StructureType.COUNTER_MAP], map_incr(b"f", -2)),
+            (key[StructureType.LIST], list_append(b"a")),
+            (key[StructureType.LIST], list_clear()),
+            (key[StructureType.SET], set_add(b"m")),
+            (key[StructureType.SET], set_del(b"m")),
+        ]
+    )
+    path = cache._dump_batch(batch)
+    try:
+        with open(path) as fh:
+            rows = json.load(fh)
+    finally:
+        os.unlink(path)
+        cache.drain()
+
+    f = {"b64": "Zg=="}  # b"f"
+    assert [(r["key"], r["kind"], r["field"], r["value"]) for r in rows] == [
+        ("nf1@ins1@0@Counter@s", "set_blob", None, 10),
+        ("nf1@ins1@0@Counter@s", "incr", None, -4),
+        ("nf1@ins1@0@Namevalue@s", "set_blob", None, {"b64": "YmxvYg=="}),
+        ("nf1@ins1@0@Namevalue@s", "delete", None, None),
+        ("nf1@ins1@0@Map@s", "map_set", f, {"b64": "dg=="}),
+        ("nf1@ins1@0@Map@s", "map_del", f, None),
+        ("nf1@ins1@0@Countermap@s", "map_set", f, 7),
+        ("nf1@ins1@0@Countermap@s", "map_incr", f, -2),
+        ("nf1@ins1@0@List@s", "list_append", None, {"b64": "YQ=="}),
+        ("nf1@ins1@0@List@s", "list_clear", None, None),
+        ("nf1@ins1@0@Set@s", "set_add", None, {"b64": "bQ=="}),
+        ("nf1@ins1@0@Set@s", "set_del", None, {"b64": "bQ=="}),
+    ]
+    assert all(set(r) == {"key", "kind", "field", "value"} for r in rows)
+
+
 def test_hydration_reads_existing_state():
     driver = make_driver("flatkvs")
     seed = make_cache(driver)
@@ -457,18 +551,6 @@ def test_flusher_backs_off_during_outage_and_recovers():
         assert probe.fetch(key) == 5
 
 
-def test_stats_merge():
-    cache, _rec = recording_cache()
-    ctx = StateContext(cache)
-    ctx.create_counter("c").add_nowait(1)
-    cache.flush_now()
-    stats = cache.drain()
-    merged = stats.merged_with(stats)
-    assert merged.flushes_succeeded == 2 * stats.flushes_succeeded
-    assert merged.mutations_flushed == 2 * stats.mutations_flushed
-    assert set(stats.as_dict()) == set(merged.as_dict())
-
-
 @pytest.mark.parametrize("label", ["flatkvs", "tablestore", "resp"])
 def test_store_error_dead_letters_batch_and_flusher_survives(label, mini_server):
     # Another session leaves the counter 5 below the int64 limit, so the
@@ -480,7 +562,7 @@ def test_store_error_dead_letters_batch_and_flusher_survives(label, mini_server)
     ctx = StateContext(cache)
     counter = ctx.create_counter("c")
     other = ctx.create_map("m")
-    near_max = b"%d" % (INT64_MAX - 4)
+    near_max = INT64_MAX - 4
     with driver.connect() as second:
         second.apply(MutationBatch([(counter.key, set_blob(near_max))]))
     counter.add_nowait(10)
@@ -539,7 +621,7 @@ def test_drain_dead_letters_refused_batch(label, mini_server):
     cache.flush_now()
     assert cache.flusher.retained_batch is not None
     with inner.connect() as second:
-        near_max = b"%d" % (INT64_MAX - 4)
+        near_max = INT64_MAX - 4
         second.apply(MutationBatch([(counter.key, set_blob(near_max))]))
     other.insert_nowait(b"k", b"v")
     path = None

@@ -24,7 +24,7 @@ from flexstate.drivers import (
 )
 from flexstate.config import FlexConfig
 from flexstate.drivers.base import UNSET_SEQ
-from flexstate.drivers.resp import _GROUP_MAX, _encode_batch, _encode_mutation
+from flexstate.drivers.resp import _GROUP_MAX, _encode_batch
 from flexstate.errors import (
     ConfigSyntaxError,
     ConnectionLost,
@@ -34,6 +34,7 @@ from flexstate.errors import (
 )
 from flexstate.keys import StructureType, build_key
 from flexstate.nf.combine import combine_counters
+from flexstate.resp import protocol
 from flexstate.resp.server import MiniRespServer
 from flexstate.testing import ModelStore, random_population, random_sequence
 
@@ -45,7 +46,7 @@ K_LIST = build_key("nf1", "ins1", 1, StructureType.LIST, "L")
 K_SET = build_key("nf1", "ins1", 1, StructureType.SET, "S")
 
 ALL_TYPES_BATCH = [
-    (K_COUNTER, set_blob(b"10")),
+    (K_COUNTER, set_blob(10)),
     (K_COUNTER, incr(-4)),
     (K_NV, set_blob(b"blob")),
     (K_MAP, map_set(b"k", b"v")),
@@ -152,7 +153,7 @@ def test_non_numeric_counter_value_is_type_conflict(driver):
 
 def test_counter_overflow_rejected(driver):
     with driver.connect() as s:
-        apply_items(s, [(K_COUNTER, set_blob(b"%d" % (2**63 - 1)))])
+        apply_items(s, [(K_COUNTER, set_blob(2**63 - 1))])
         with pytest.raises(Overflow):
             apply_items(s, [(K_COUNTER, incr(1))])
         assert s.fetch(K_COUNTER) == 2**63 - 1
@@ -250,7 +251,7 @@ def test_retry_of_applied_batch_is_noop(local_driver):
 
 def test_batch_is_atomic_under_validation_failure(local_driver):
     with local_driver.connect() as s:
-        apply_items(s, [(K_COUNTER, set_blob(b"%d" % (2**63 - 2)))])
+        apply_items(s, [(K_COUNTER, set_blob(2**63 - 2))])
         bad = MutationBatch(
             [
                 (K_NV, set_blob(b"should-not-land")),
@@ -269,7 +270,7 @@ def test_validation_tracks_values_within_batch(local_driver):
         apply_items(
             s,
             [
-                (K_COUNTER, set_blob(b"%d" % (2**63 - 1))),
+                (K_COUNTER, set_blob(2**63 - 1)),
                 (K_COUNTER, incr(-1)),
                 (K_COUNTER, incr(1)),
             ],
@@ -377,7 +378,7 @@ def test_table_layout_after_random_batches(seed):
 
 
 def enc(key, m):
-    return _encode_mutation(key.render().encode("ascii"), key.structure_type, m)
+    return _encode_batch([(key, m)])[0]
 
 
 def test_resp_wire_translation_frozen():
@@ -461,6 +462,21 @@ def test_resp_store_error_retires_ledger_entry(mini_server):
             with pytest.raises(TypeConflict):
                 apply_items(s, [(K_COUNTER, incr(1))])
         assert s.acked == {}
+
+
+def test_resp_foreign_non_integer_counter_values_are_type_conflict(mini_server):
+    # Another client left a non-integer where a counter lives: fetch raises
+    # TypeConflict, as the in-process stores do, for a Counter and for a
+    # CounterMap field alike.
+    drv = make_driver("resp", mini_server.endpoint)
+    with drv.connect() as s:
+        rendered = K_CMAP.render().encode("ascii")
+        s.exchange([protocol.encode_command(b"HSET", rendered, b"f", b"abc")])
+        apply_items(s, [(K_COUNTER, set_blob(b"abc"))])
+        with pytest.raises(TypeConflict):
+            s.fetch(K_CMAP)
+        with pytest.raises(TypeConflict):
+            s.fetch(K_COUNTER)
 
 
 class CountingRespServer(MiniRespServer):

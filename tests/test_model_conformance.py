@@ -42,9 +42,7 @@ def mutations_for(key):
     if stype is StructureType.COUNTER:
         return st.one_of(
             st.integers(-100, 100).map(lambda n: Mutation("incr", None, n)),
-            st.integers(-100, 100).map(
-                lambda n: Mutation("set_blob", None, b"%d" % n)
-            ),
+            st.integers(-100, 100).map(lambda n: Mutation("set_blob", None, n)),
             st.just(Mutation("delete")),
         )
     if stype is StructureType.NAME_VALUE:
@@ -137,7 +135,7 @@ deltas = st.one_of(st.integers(-2000, 2000), near_edge)
 
 boundary_ops = st.one_of(
     deltas.map(lambda n: (B_COUNTER, incr(n))),
-    near_edge.map(lambda v: (B_COUNTER, Mutation("set_blob", None, b"%d" % v))),
+    near_edge.map(lambda v: (B_COUNTER, Mutation("set_blob", None, v))),
     st.just((B_COUNTER, delete())),
     st.tuples(st.sampled_from(FIELDS), deltas).map(lambda fn: (B_CMAP, map_incr(*fn))),
     st.tuples(st.sampled_from(FIELDS), near_edge).map(lambda fv: (B_CMAP, map_set(*fv))),
@@ -156,7 +154,7 @@ def test_boundary_batches_match_model_or_leave_store_unchanged(label, seed, batc
     # Each batch either lands whole and matches the model, or raises the
     # model's error and leaves the store as it was before the batch.
     counter, fields = seed
-    seed_items = [(B_COUNTER, Mutation("set_blob", None, b"%d" % counter))]
+    seed_items = [(B_COUNTER, Mutation("set_blob", None, counter))]
     seed_items += [(B_CMAP, map_set(f, v)) for f, v in zip(FIELDS, fields)]
     model = ModelStore()
     for key, m in seed_items:
