@@ -8,6 +8,14 @@ Folding keeps the batch proportional to the number of structures touched,
 not the number of calls: a thousand add(1) calls between flushes leave one
 incr(+1000).
 
+The flusher ticks only while there is something to flush. Its deadlines
+sit on a grid of whole intervals; a deadline that finds nothing pending
+and nothing retained parks it on the cache's Condition, and the first
+_nowait fold that makes a structure dirty wakes it (so does stop()). A
+woken or late flusher goes to the first grid boundary after now: missed
+boundaries are skipped, never run as catch-up ticks. An idle cache, or one
+used only through waiting calls, costs no ticks at all.
+
 Waiting calls (the non-_nowait forms) push just their own structure's
 pending mutations out of band and return once the store acknowledged them.
 If the flusher currently has a batch in flight (or retained after a
@@ -311,6 +319,7 @@ class CoreCache:
         self._cond = threading.Condition(self._lock)
 
         # Flush bookkeeping, guarded by _lock.
+        self._flusher_parked = False
         self._swap_counter = 0
         self._inflight_swap: int | None = None
         self._acked_swap = 0
@@ -383,6 +392,12 @@ class CoreCache:
                 # the dirty entry together, under this lock.
                 self._pending_total += delta
                 self._dirty[state] = None
+                if self._flusher_parked and not wait:
+                    # Parked means nothing was dirty: this fold is the
+                    # first. notify_all, as waiting calls share the
+                    # Condition.
+                    self._flusher_parked = False
+                    self._cond.notify_all()
             if not wait:
                 return
             batch = MutationBatch()
@@ -538,14 +553,18 @@ class CoreCache:
 
 
 class Flusher:
-    """Fixed-cadence background flush thread.
+    """Fixed-cadence background flush thread that parks while idle.
 
-    Deadlines advance by exactly one interval per tick, so a tick that
-    starts late is followed by catch-up ticks and the long-run tick count
-    tracks wall clock. After a transport failure (ConnectionLost) the
-    failed batch is retained and retried with exponential backoff; the
-    deadline is re-based on recovery instead of replaying the outage's
-    missed ticks. Any other StateError means the store refused the batch
+    Deadlines sit on a grid of whole intervals from the thread's start.
+    At each one the flusher ticks if a structure is dirty or a batch is
+    retained; otherwise it parks on the cache's Condition until a _nowait
+    fold makes a structure dirty, or stop() is called. Waiting calls take
+    their own slots out, so they never wake it. After a wake, a late tick
+    or a backoff, the next deadline is the first grid boundary after now:
+    the phase is kept and missed boundaries are skipped, so there are no
+    catch-up ticks. After a transport failure (ConnectionLost) the
+    failed batch is retained and retried with exponential backoff. Any
+    other StateError means the store refused the batch
     (an Overflow, a TypeConflict), which a retry cannot change: the batch
     is written to a dump file (see _dump_batch), counted in
     stats.dead_letters, named with the error in stats.last_error, and
@@ -575,13 +594,14 @@ class Flusher:
 
     def stop(self) -> None:
         self._stop.set()
+        with self.cache._cond:
+            self.cache._cond.notify_all()  # wakes a parked flusher
         if self._thread is not None:
             self._thread.join()
             self._thread = None
 
     def _run(self) -> None:
-        interval = self.interval_s
-        deadline = time.monotonic() + interval
+        deadline = time.monotonic() + self.interval_s
         while True:
             delay = deadline - time.monotonic()
             if delay > 0:
@@ -589,15 +609,39 @@ class Flusher:
                     return
             elif self._stop.is_set():
                 return
-            deadline += interval
-            if not self.tick_once():
-                # Store down: back off, then resume a fresh cadence.
+            if self.retained_batch is None and self._park():
+                # Woken by a fold: its tick waits for the next boundary.
+                if self._stop.is_set():
+                    return
+            elif not self.tick_once():
+                # Store down: back off, then rejoin the grid.
                 if self._stop.wait(self._backoff):
                     return
                 self._backoff = min(self._backoff * 2, RETRY_CAP_S)
-                deadline = time.monotonic() + interval
             else:
                 self._backoff = RETRY_BASE_S
+            deadline = self._next_deadline(deadline)
+
+    def _park(self) -> bool:
+        """Wait while nothing is dirty. True when it waited, False at once
+        when a structure is dirty. Returns early once stop() was called."""
+        cache = self.cache
+        parked = False
+        with cache._cond:
+            while not cache._dirty and not self._stop.is_set():
+                parked = True
+                cache._flusher_parked = True
+                cache._cond.wait()
+            cache._flusher_parked = False
+        return parked
+
+    def _next_deadline(self, deadline: float) -> float:
+        """The first boundary of deadline's interval grid after now."""
+        interval = self.interval_s
+        now = time.monotonic()
+        if interval <= 0:
+            return now
+        return deadline + ((now - deadline) // interval + 1) * interval
 
     def tick_once(self) -> bool:
         """One cadence tick. Returns False when the store was unreachable."""

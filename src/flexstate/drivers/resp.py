@@ -33,11 +33,19 @@ chunk has been read, so the next exchange on the session starts on a
 reply boundary. A batch the store failed that way is finished, not
 resumable: its ledger entry is dropped, and only a lost connection keeps
 one for a retry to resume from.
+
+Timeouts are the kernel's: a connected socket is blocking, with
+SO_RCVTIMEO and SO_SNDTIMEO set to _IO_TIMEOUT_S. A Python-level socket
+timeout would make CPython poll() before every send and recv, a cost paid
+on each waiting call's round trip. A store that stops answering, or stops
+reading, still fails the exchange with ConnectionLost once the timeout
+passes, and its message says the link timed out.
 """
 
 from __future__ import annotations
 
 import socket
+import struct
 
 from ..config import parse_endpoint
 from ..errors import (
@@ -54,7 +62,7 @@ from ..resp import protocol
 from ..resp.protocol import RespError
 
 _PIPELINE = 256
-_CONNECT_TIMEOUT_S = 5.0
+_IO_TIMEOUT_S = 5.0  # connect, and each send or recv that makes no progress
 
 # Mutations per variadic command. Keeps each command far below the
 # server's MAX_ARRAY and the resend unit after a reconnect small.
@@ -101,12 +109,8 @@ def _encode_batch(items: list) -> list[bytes]:
     commands = []
     n = len(items)
     i = 0
-    last_key = None
     while i < n:
         key, m = items[i]
-        if key is not last_key:  # flushes share one key object per structure
-            rendered = key.render().encode("ascii")
-            last_key = key
         kind = m.kind
         name = _COMMANDS.get(kind)
         if name is None:
@@ -119,7 +123,7 @@ def _encode_batch(items: list) -> list[bytes]:
                 if other.kind != kind or (other_key is not key and other_key != key):
                     break
                 j += 1
-        args = [name, rendered]
+        args = [name, key.encoded]
         for _k, (_kind, field, value) in items[i:j]:
             if field is not None:
                 args.append(field)
@@ -143,11 +147,15 @@ class RespSession(DriverSession):
         if self._sock is not None:
             return
         try:
-            sock = socket.create_connection(self._address, timeout=_CONNECT_TIMEOUT_S)
+            sock = socket.create_connection(self._address, timeout=_IO_TIMEOUT_S)
         except OSError as exc:
             raise ConnectionLost(f"connect {self._address}: {exc}") from exc
+        sock.setblocking(True)  # from here on the kernel timeouts bound each call
+        seconds = int(_IO_TIMEOUT_S)
+        timeval = struct.pack("@ll", seconds, int((_IO_TIMEOUT_S - seconds) * 1e6))
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVTIMEO, timeval)
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDTIMEO, timeval)
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        sock.settimeout(_CONNECT_TIMEOUT_S)
         self._sock = sock
         self._reader = sock.makefile("rb")
         self.reconnects += 1
@@ -173,15 +181,20 @@ class RespSession(DriverSession):
         first error reply of a chunk is raised once the whole chunk has
         been read. Without one, error replies come back as values.
         """
-        self.ensure_connected()
+        if self._sock is None:
+            self.ensure_connected()
+        sock = self._sock
+        reader = self._reader
+        read_reply = protocol.read_reply
         replies = []
         acked = self.acked
+        n = len(commands)
         try:
-            for start in range(0, len(commands), _PIPELINE):
-                chunk = commands[start : start + _PIPELINE]
-                self._sock.sendall(b"".join(chunk))
+            for start in range(0, n, _PIPELINE):
+                chunk = commands if n <= _PIPELINE else commands[start : start + _PIPELINE]
+                sock.sendall(b"".join(chunk))
                 for _ in chunk:
-                    replies.append(protocol.read_reply(self._reader))
+                    replies.append(read_reply(reader))
                     if seq is not None:
                         acked[seq] += 1
                 if seq is not None:
@@ -189,9 +202,28 @@ class RespSession(DriverSession):
                         if isinstance(reply, RespError):
                             _raise_reply(reply)
         except (OSError, ConnectionLost) as exc:
+            what = "timed out" if self._stalled(exc) else "failed"
             self.drop_link()
-            raise ConnectionLost(f"store connection failed: {exc}") from exc
+            raise ConnectionLost(f"store connection {what}: {exc}") from exc
         return replies
+
+    def _stalled(self, exc: Exception) -> bool:
+        """Whether exc came from a kernel timeout, not a closed link.
+
+        A send that times out raises BlockingIOError. A recv that times out
+        reaches the reply parser as a short read, like EOF, so the link is
+        probed: a peer that closed reads as EOF, a silent one as no data.
+        """
+        if isinstance(exc, BlockingIOError):
+            return True
+        if not isinstance(exc, ConnectionLost):
+            return False
+        try:
+            return self._sock.recv(1, socket.MSG_PEEK | socket.MSG_DONTWAIT) != b""
+        except BlockingIOError:
+            return True
+        except OSError:
+            return False
 
 
 class RespDriver(Driver):
@@ -215,19 +247,19 @@ class RespDriver(Driver):
         skip = acked.setdefault(seq, 0)
         if skip < len(commands):
             try:
-                session.exchange(commands[skip:], seq)
+                session.exchange(commands[skip:] if skip else commands, seq)
             except (TypeConflict, Overflow, ProtocolError):
                 del acked[seq]
                 raise
         del acked[seq]
 
     def _fetch(self, session: RespSession, key: StoreKey):
-        rendered = key.render().encode("ascii")
-        reply = session.exchange([self._fetch_command(key, rendered)])[0]
+        reply = session.exchange([self._fetch_command(key)])[0]
         return self._decode_fetch(key.structure_type, reply)
 
     @staticmethod
-    def _fetch_command(key: StoreKey, rendered: bytes) -> bytes:
+    def _fetch_command(key: StoreKey) -> bytes:
+        rendered = key.encoded
         stype = key.structure_type
         if stype in (StructureType.NAME_VALUE, StructureType.COUNTER):
             return protocol.encode_command(b"GET", rendered)
@@ -266,9 +298,7 @@ class RespDriver(Driver):
             _raise_reply(reply)
         keys = [parse_key(raw.decode("ascii")) for raw in reply]
         keys.sort(key=StoreKey.render)
-        commands = [
-            self._fetch_command(key, key.render().encode("ascii")) for key in keys
-        ]
+        commands = [self._fetch_command(key) for key in keys]
         replies = session.exchange(commands) if commands else []
         out = []
         for key, fetched in zip(keys, replies):

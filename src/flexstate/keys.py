@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import InvalidId, InvalidToken
 from .limits import MAX_ID_BYTES
@@ -68,6 +68,12 @@ class StoreKey:
     core_id: int
     structure_type: StructureType
     structure_id: str
+    # render() as ASCII bytes, computed once: the wire drivers send it with
+    # every command. Not part of equality, hash or repr.
+    encoded: bytes = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "encoded", self.render().encode("ascii"))
 
     def render(self) -> str:
         return SEPARATOR.join(

@@ -33,13 +33,23 @@ class RespError:
     message: str
 
 
+# Array and bulk headers for the common sizes, rendered once: an index is
+# cheaper than b"%d" formatting, which the encoder would otherwise pay for
+# every argument of every command.
+_ARRAY_HEADERS = [b"*%d\r\n" % n for n in range(1024)]
+_BULK_HEADERS = [b"$%d\r\n" % n for n in range(512)]
+
+
 def encode_command(*parts: bytes) -> bytes:
     """Encode one command as an array of bulk strings."""
-    out = [b"*%d\r\n" % len(parts)]
+    n = len(parts)
+    out = [_ARRAY_HEADERS[n] if n < 1024 else b"*%d\r\n" % n]
+    append = out.append
     for part in parts:
-        out.append(b"$%d\r\n" % len(part))
-        out.append(part)
-        out.append(CRLF)
+        n = len(part)
+        append(_BULK_HEADERS[n] if n < 512 else b"$%d\r\n" % n)
+        append(part)
+        append(CRLF)
     return b"".join(out)
 
 
@@ -65,18 +75,6 @@ def encode_array(values: list[bytes | None] | None) -> bytes:
     if values is None:
         return b"*-1\r\n"
     return b"*%d\r\n" % len(values) + b"".join(encode_bulk(v) for v in values)
-
-
-def _read_line(reader, *, at_boundary: bool = False) -> bytes | None:
-    """One CRLF-terminated line without the terminator.
-
-    Returns None for EOF exactly at a frame boundary when at_boundary is
-    set; raises otherwise.
-    """
-    line = reader.readline()
-    if line.endswith(CRLF):
-        return line[:-2]
-    return _line_fault(line, at_boundary)
 
 
 def _line_fault(line: bytes, at_boundary: bool) -> None:
@@ -116,8 +114,10 @@ def _read_bulk(reader, header: bytes) -> bytes | None:
 
 def read_reply(reader):
     """Parse one reply frame. Errors come back as RespError values."""
-    line = _read_line(reader)
-    kind, rest = line[:1], line[1:]
+    line = reader.readline()
+    if not line.endswith(CRLF):
+        _line_fault(line, False)
+    kind, rest = line[:1], line[1:-2]
     if kind == b"+":
         return rest
     if kind == b"-":
@@ -134,7 +134,7 @@ def read_reply(reader):
         if n == -1:
             return None
         return [read_reply(reader) for _ in range(n)]
-    raise ProtocolError(f"unknown reply type {line[:16]!r}")
+    raise ProtocolError(f"unknown reply type {(kind + rest)[:16]!r}")
 
 
 def read_command(reader) -> list[bytes] | None:
@@ -142,17 +142,18 @@ def read_command(reader) -> list[bytes] | None:
 
     Returns None when the peer closed the connection between commands.
     """
-    line = _read_line(reader, at_boundary=True)
-    if line is None:
-        return None
+    line = reader.readline()
+    if not line.endswith(CRLF):
+        return _line_fault(line, True)  # None for a close between commands
+    line = line[:-2]
     if line[:1] != b"*":
         raise ProtocolError(f"inline commands not accepted: {line[:64]!r}")
     count = _parse_length(line[1:], "array", MAX_ARRAY)
     if count < 1:
         raise ProtocolError("empty command array")
-    # The element loop is spelled out rather than calling _read_line and
-    # _read_bulk: a flush's variadic command has hundreds of elements, and
-    # the bundled server parses them while holding the interpreter lock.
+    # The element loop is spelled out rather than calling _read_bulk: a
+    # flush's variadic command has hundreds of elements, and the bundled
+    # server parses them while holding the interpreter lock.
     readline = reader.readline
     read = reader.read
     parts = []

@@ -175,14 +175,14 @@ class MiniRespServer:
     # Command execution
 
     def _dispatch(self, command: list[bytes]) -> bytes:
-        name = command[0].upper().decode("ascii", "replace")
-        handler = _HANDLERS.get(name)
-        if handler is None:
+        entry = _COMMANDS.get(command[0]) or _COMMANDS.get(command[0].upper())
+        if entry is None:
+            name = command[0].upper().decode("ascii", "replace")
             return protocol.encode_error(f"ERR unknown command '{name}'")
-        lo, hi = _ARITY[name]
+        handler, lo, hi = entry
         argc = len(command) - 1
         if argc < lo or (hi is not None and argc > hi):
-            return protocol.encode_error(_arity_error(name))
+            return protocol.encode_error(_arity_error(command[0].decode("ascii")))
         with self._data_lock:
             try:
                 return handler(self, command[1:])
@@ -363,45 +363,26 @@ class MiniRespServer:
         return protocol.encode_simple(b"OK")
 
 
-_HANDLERS = {
-    "PING": MiniRespServer._cmd_ping,
-    "SET": MiniRespServer._cmd_set,
-    "GET": MiniRespServer._cmd_get,
-    "DEL": MiniRespServer._cmd_del,
-    "INCRBY": MiniRespServer._cmd_incrby,
-    "HSET": MiniRespServer._cmd_hset,
-    "HGET": MiniRespServer._cmd_hget,
-    "HDEL": MiniRespServer._cmd_hdel,
-    "HINCRBY": MiniRespServer._cmd_hincrby,
-    "HGETALL": MiniRespServer._cmd_hgetall,
-    "SADD": MiniRespServer._cmd_sadd,
-    "SREM": MiniRespServer._cmd_srem,
-    "SMEMBERS": MiniRespServer._cmd_smembers,
-    "RPUSH": MiniRespServer._cmd_rpush,
-    "LRANGE": MiniRespServer._cmd_lrange,
-    "LLEN": MiniRespServer._cmd_llen,
-    "KEYS": MiniRespServer._cmd_keys,
-    "FLUSHALL": MiniRespServer._cmd_flushall,
-}
-
-# (minimum argument count, maximum or None for unbounded)
-_ARITY = {
-    "PING": (0, 1),
-    "SET": (2, 2),
-    "GET": (1, 1),
-    "DEL": (1, None),
-    "INCRBY": (2, 2),
-    "HSET": (3, None),
-    "HGET": (2, 2),
-    "HDEL": (2, None),
-    "HINCRBY": (3, 3),
-    "HGETALL": (1, 1),
-    "SADD": (2, None),
-    "SREM": (2, None),
-    "SMEMBERS": (1, 1),
-    "RPUSH": (2, None),
-    "LRANGE": (3, 3),
-    "LLEN": (1, 1),
-    "KEYS": (1, 1),
-    "FLUSHALL": (0, 0),
+# Command name -> (handler, minimum argument count, maximum or None for
+# unbounded). Keyed by the upper-case wire bytes, so a command sent in
+# upper case, as the driver sends it, is found without a decode.
+_COMMANDS = {
+    b"PING": (MiniRespServer._cmd_ping, 0, 1),
+    b"SET": (MiniRespServer._cmd_set, 2, 2),
+    b"GET": (MiniRespServer._cmd_get, 1, 1),
+    b"DEL": (MiniRespServer._cmd_del, 1, None),
+    b"INCRBY": (MiniRespServer._cmd_incrby, 2, 2),
+    b"HSET": (MiniRespServer._cmd_hset, 3, None),
+    b"HGET": (MiniRespServer._cmd_hget, 2, 2),
+    b"HDEL": (MiniRespServer._cmd_hdel, 2, None),
+    b"HINCRBY": (MiniRespServer._cmd_hincrby, 3, 3),
+    b"HGETALL": (MiniRespServer._cmd_hgetall, 1, 1),
+    b"SADD": (MiniRespServer._cmd_sadd, 2, None),
+    b"SREM": (MiniRespServer._cmd_srem, 2, None),
+    b"SMEMBERS": (MiniRespServer._cmd_smembers, 1, 1),
+    b"RPUSH": (MiniRespServer._cmd_rpush, 2, None),
+    b"LRANGE": (MiniRespServer._cmd_lrange, 3, 3),
+    b"LLEN": (MiniRespServer._cmd_llen, 1, 1),
+    b"KEYS": (MiniRespServer._cmd_keys, 1, 1),
+    b"FLUSHALL": (MiniRespServer._cmd_flushall, 0, 0),
 }

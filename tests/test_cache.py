@@ -731,3 +731,73 @@ def test_owner_mutations_and_flusher_exclude_each_other(label, seed, monkeypatch
         assert (probe.fetch(cm.key) or {}) == cm.read_all()
         assert (probe.fetch(lst.key) or []) == lst.read_all()
         assert (probe.fetch(s.key) or set()) == s.read_all()
+
+
+# The flusher parks while idle and keeps to its interval grid.
+
+
+def test_idle_flusher_runs_no_ticks():
+    cache = make_cache(start_flusher=True, flush_interval_us=1000)
+    StateContext(cache).create_counter("c")
+    time.sleep(0.1)
+    assert cache.stats.ticks == 0
+    cache.drain()
+
+
+def test_waiting_calls_alone_never_wake_the_flusher():
+    # Each call waits out an injected 100 us round trip, so the 300 calls
+    # span at least 30 flush intervals.
+    driver = make_driver("flatkvs")
+    cache = make_cache(
+        driver, start_flusher=True, flush_interval_us=1000, inject_latency_us=100
+    )
+    counter = StateContext(cache).create_counter("c")
+    for _ in range(300):
+        counter.add(1)
+    assert cache.stats.ticks == 0
+    stats = cache.drain()
+    assert stats.ticks == 0 and stats.sync_flushes == 300
+    with driver.connect() as probe:
+        assert probe.fetch(counter.key) == 300
+
+
+def test_nowait_after_idle_reaches_store_within_three_intervals():
+    interval_s = 0.02
+    driver = make_driver("flatkvs")
+    cache = make_cache(
+        driver, start_flusher=True, flush_interval_us=int(interval_s * 1e6)
+    )
+    counter = StateContext(cache).create_counter("c")
+    time.sleep(0.05)  # long enough for the flusher to park
+    with driver.connect() as probe:
+        t0 = time.monotonic()
+        counter.add_nowait(7)
+        while probe.fetch(counter.key) != 7:
+            assert time.monotonic() - t0 < 3 * interval_s
+            time.sleep(0.001)
+    cache.drain()
+
+
+def test_drain_of_parked_flusher_is_prompt():
+    cache = make_cache(start_flusher=True, flush_interval_us=1000)
+    StateContext(cache).create_counter("c")
+    time.sleep(0.02)
+    t0 = time.monotonic()
+    cache.drain()
+    assert time.monotonic() - t0 < 0.05
+    assert not cache.flusher._thread
+
+
+def test_late_tick_is_not_followed_by_empty_catch_up_ticks():
+    # The owner keeps the interpreter lock busy for ~20 ms, so the flusher
+    # runs only when the interpreter forces a switch and every tick is late.
+    # Each tick must find the mutations made since the last one: missed
+    # deadlines are skipped, not replayed back to back.
+    cache = make_cache(start_flusher=True, flush_interval_us=1000)
+    counter = StateContext(cache).create_counter("c")
+    end = time.perf_counter() + 0.02
+    while time.perf_counter() < end:
+        counter.add_nowait(1)
+    stats = cache.drain()
+    assert stats.empty_ticks == 0, stats
+    assert stats.ticks == stats.flushes_succeeded

@@ -2,6 +2,9 @@
 
 import math
 import random
+import socket
+import struct
+import threading
 import time
 
 import pytest
@@ -24,6 +27,7 @@ from flexstate.drivers import (
 )
 from flexstate.config import FlexConfig
 from flexstate.drivers.base import UNSET_SEQ
+import flexstate.drivers.resp as resp_mod
 from flexstate.drivers.resp import _GROUP_MAX, _encode_batch
 from flexstate.errors import (
     ConfigSyntaxError,
@@ -570,3 +574,55 @@ def test_latency_injection_delays_apply():
         t0 = time.monotonic()
         apply_items(s, [(K_COUNTER, incr(1))])
         assert time.monotonic() - t0 >= 0.02
+
+
+@pytest.fixture
+def silent_listener():
+    """A loopback listener that accepts connections and never answers."""
+    srv = socket.socket()
+    srv.bind(("127.0.0.1", 0))
+    srv.listen(4)
+    accepted = []
+
+    def accept():
+        try:
+            while True:
+                accepted.append(srv.accept()[0])
+        except OSError:
+            pass
+
+    thread = threading.Thread(target=accept, daemon=True)
+    thread.start()
+    yield "127.0.0.1:%d" % srv.getsockname()[1]
+    srv.close()
+    for conn in accepted:
+        conn.close()
+
+
+def test_resp_session_timeouts_are_the_kernels(mini_server):
+    with make_driver("resp", mini_server.endpoint).connect() as s:
+        s.ensure_connected()
+        assert s._sock.gettimeout() is None  # no poll() before each call
+        for opt in (socket.SO_RCVTIMEO, socket.SO_SNDTIMEO):
+            raw = s._sock.getsockopt(socket.SOL_SOCKET, opt, 16)
+            assert struct.unpack("@ll", raw) == (5, 0)
+
+
+def test_resp_silent_store_times_out(silent_listener, monkeypatch):
+    monkeypatch.setattr(resp_mod, "_IO_TIMEOUT_S", 0.2)
+    with make_driver("resp", silent_listener).connect() as s:
+        t0 = time.monotonic()
+        with pytest.raises(ConnectionLost, match="timed out"):
+            s.exchange([protocol.encode_command(b"PING")])
+        assert time.monotonic() - t0 < 1.0
+
+
+def test_resp_store_that_never_reads_times_out(silent_listener, monkeypatch):
+    monkeypatch.setattr(resp_mod, "_IO_TIMEOUT_S", 0.2)
+    value = b"v" * 65536
+    commands = [protocol.encode_command(b"SET", b"k%d" % i, value) for i in range(64)]
+    with make_driver("resp", silent_listener).connect() as s:
+        t0 = time.monotonic()
+        with pytest.raises(ConnectionLost, match="timed out"):
+            s.exchange(commands)
+        assert time.monotonic() - t0 < 1.0

@@ -124,3 +124,17 @@ def test_distinct_cores_never_collide():
         for t in StructureType:
             seen.add(build_key("nf1", "ins1", core, t, "shared").render())
     assert len(seen) == 64 * len(StructureType)
+
+
+def test_encoded_bytes_cached_and_outside_identity():
+    for stype in StructureType:
+        key = build_key("nf1", "ins1", 3, stype, "some_id")
+        parsed = parse_key(key.render())
+        for k in (key, parsed):
+            assert k.encoded == k.render().encode("ascii")
+        assert parsed == key and hash(parsed) == hash(key)
+        # Equality, hash and repr depend on the five fields only.
+        object.__setattr__(parsed, "encoded", b"other")
+        assert parsed == key and hash(parsed) == hash(key)
+        assert repr(parsed) == repr(key) and "encoded" not in repr(key)
+        assert parsed != build_key("nf1", "ins1", 4, stype, "some_id")

@@ -231,3 +231,27 @@ def test_endpoint_property(mini_server):
     host, port = mini_server.endpoint.rsplit(":", 1)
     assert host == "127.0.0.1"
     assert int(port) == mini_server.port
+
+
+def test_command_names_match_in_any_case(client):
+    assert client.call(b"set", b"k", b"v") == b"OK"
+    assert client.call(b"GeT", b"k") == b"v"
+
+
+def test_error_replies_byte_identical(mini_server):
+    sock = socket.create_connection(("127.0.0.1", mini_server.port), timeout=5)
+    try:
+        for command, reply in (
+            ((b"EXPLODE",), b"-ERR unknown command 'EXPLODE'\r\n"),
+            ((b"explode", b"x"), b"-ERR unknown command 'EXPLODE'\r\n"),
+            ((b"GET",), b"-ERR wrong number of arguments for 'get' command\r\n"),
+            ((b"hSet", b"h", b"f"), b"-ERR wrong number of arguments for 'hset' command\r\n"),
+            (
+                (b"HSET", b"h", b"a", b"1", b"b"),
+                b"-ERR wrong number of arguments for 'hset' command\r\n",
+            ),
+        ):
+            sock.sendall(encode_command(*command))
+            assert sock.recv(256) == reply
+    finally:
+        sock.close()
