@@ -62,10 +62,27 @@ SYNC_TIMEOUT_S = 5.0
 CREATE_RETRIES = 3
 
 
+def _retry(deadline: float, call, *args):
+    """call(*args), retried with exponential backoff after each
+    ConnectionLost; the last one is re-raised once the next try would
+    start past deadline (a time.monotonic() value)."""
+    delay = RETRY_BASE_S
+    while True:
+        try:
+            return call(*args)
+        except ConnectionLost:
+            if time.monotonic() + delay > deadline:
+                raise
+            time.sleep(delay)
+            delay = min(delay * 2, RETRY_CAP_S)
+
+
 # Structure state. Mutators fold into the pending slot(s) and return the
 # net change in pending-slot count; collect() drains the slots into a
-# batch. The invariant throughout: replaying the pending slots on top of
-# the store's current value yields exactly `live`.
+# batch. Each pending op is recorded under the Mutation kind it flushes
+# as, so collect only attaches the key (and field or member). The
+# invariant throughout: replaying the pending slots on top of the store's
+# current value yields exactly `live`.
 
 
 class _NameValueState:
@@ -75,17 +92,17 @@ class _NameValueState:
     def __init__(self, key: StoreKey, snapshot):
         self.key = key
         self.live = snapshot  # bytes, int (counters) or None (absent)
-        self.pend = None  # None | ("set", v) | ("incr", d) | ("del",)
+        self.pend = None  # None | ("set_blob", v) | ("incr", n) | ("delete", None)
 
     def set_value(self, value) -> int:
         delta = 0 if self.pend else 1
-        self.pend = ("set", value)
+        self.pend = ("set_blob", value)
         self.live = value
         return delta
 
     def drop(self) -> int:
         delta = 0 if self.pend else 1
-        self.pend = ("del",)
+        self.pend = ("delete", None)
         self.live = None
         return delta
 
@@ -93,12 +110,7 @@ class _NameValueState:
         p = self.pend
         if p is None:
             return 0
-        if p[0] == "set":
-            batch.add(self.key, Mutation("set_blob", None, p[1]))
-        elif p[0] == "incr":
-            batch.add(self.key, Mutation("incr", None, p[1]))
-        else:
-            batch.add(self.key, Mutation("delete"))
+        batch.add(self.key, Mutation(p[0], None, p[1]))
         self.pend = None
         return 1
 
@@ -116,8 +128,8 @@ class _CounterState(_NameValueState):
             self.pend = ("incr", n)
             delta = 1
         else:
-            if p[0] == "del":
-                self.pend = ("set", value)
+            if p[0] == "delete":
+                self.pend = ("set_blob", value)
             else:
                 self.pend = (p[0], p[1] + n)
             delta = 0
@@ -132,7 +144,8 @@ class _MapState:
     def __init__(self, key: StoreKey, snapshot):
         self.key = key
         self.live: dict = dict(snapshot) if snapshot else {}
-        self.pend: dict = {}  # field -> ("set", v) | ("incr", d) | ("del",)
+        # field -> ("map_set", v) | ("map_incr", n) | ("map_del", None)
+        self.pend: dict = {}
         self.reset = False
 
     def _slots(self) -> int:
@@ -140,13 +153,13 @@ class _MapState:
 
     def insert(self, fieldname: bytes, value) -> int:
         delta = 0 if fieldname in self.pend else 1
-        self.pend[fieldname] = ("set", value)
+        self.pend[fieldname] = ("map_set", value)
         self.live[fieldname] = value
         return delta
 
     def remove(self, fieldname: bytes) -> int:
         delta = 0 if fieldname in self.pend else 1
-        self.pend[fieldname] = ("del",)
+        self.pend[fieldname] = ("map_del", None)
         self.live.pop(fieldname, None)
         return delta
 
@@ -164,13 +177,9 @@ class _MapState:
         if self.reset:
             batch.add(self.key, Mutation("delete"))
             self.reset = False
-        for fieldname, op in self.pend.items():
-            if op[0] == "set":
-                batch.add(self.key, Mutation("map_set", fieldname, op[1]))
-            elif op[0] == "del":
-                batch.add(self.key, Mutation("map_del", fieldname))
-            else:
-                batch.add(self.key, Mutation("map_incr", fieldname, op[1]))
+        key = self.key
+        for fieldname, (kind, value) in self.pend.items():
+            batch.add(key, Mutation(kind, fieldname, value))
         self.pend.clear()
         return count
 
@@ -185,11 +194,11 @@ class _CounterMapState(_MapState):
             check_int64(value)  # raises Overflow
         p = self.pend.get(fieldname)
         if p is None:
-            self.pend[fieldname] = ("incr", n)
+            self.pend[fieldname] = ("map_incr", n)
             delta = 1
         else:
-            if p[0] == "del":
-                self.pend[fieldname] = ("set", value)
+            if p[0] == "map_del":
+                self.pend[fieldname] = ("map_set", value)
             else:
                 self.pend[fieldname] = (p[0], p[1] + n)
             delta = 0
@@ -239,17 +248,17 @@ class _SetState:
     def __init__(self, key: StoreKey, snapshot):
         self.key = key
         self.live: set = set(snapshot) if snapshot else set()
-        self.pend: dict = {}  # member -> "add" | "del"
+        self.pend: dict = {}  # member -> "set_add" | "set_del"
 
     def insert(self, value: bytes) -> int:
         delta = 0 if value in self.pend else 1
-        self.pend[value] = "add"
+        self.pend[value] = "set_add"
         self.live.add(value)
         return delta
 
     def remove(self, value: bytes) -> int:
         delta = 0 if value in self.pend else 1
-        self.pend[value] = "del"
+        self.pend[value] = "set_del"
         self.live.discard(value)
         return delta
 
@@ -257,8 +266,7 @@ class _SetState:
         count = len(self.pend)
         if count == 0:
             return 0
-        for member, op in self.pend.items():
-            kind = "set_add" if op == "add" else "set_del"
+        for member, kind in self.pend.items():
             batch.add(self.key, Mutation(kind, None, member))
         self.pend.clear()
         return count
@@ -421,17 +429,11 @@ class CoreCache:
                     self._cond.wait(remaining)
         if not batch:
             return
-        delay = RETRY_BASE_S
-        while True:
-            try:
-                self.worker_session.apply(batch)
-                self.stats.sync_flushes += 1
-                return
-            except ConnectionLost as exc:
-                if time.monotonic() + delay > deadline:
-                    raise StoreUnavailable(f"waiting call failed: {exc}") from exc
-                time.sleep(delay)
-                delay = min(delay * 2, RETRY_CAP_S)
+        try:
+            _retry(deadline, self.worker_session.apply, batch)
+        except ConnectionLost as exc:
+            raise StoreUnavailable(f"waiting call failed: {exc}") from exc
+        self.stats.sync_flushes += 1
 
     # Flusher side.
 
@@ -471,59 +473,27 @@ class CoreCache:
     def drain(self, timeout_s: float = 10.0) -> FlushStats:
         """Stop the flusher, push everything left, close sessions.
 
-        A batch the store refuses (a non-transport StateError) is
-        dead-lettered as the flusher does it, and drain goes on with the
-        next batch; a store that stays unreachable past timeout_s raises
-        StoreUnavailable after that batch and every one after it are
-        written out, in order, to one dump.
+        Once stopped, the flusher pushes its retained batch and then the
+        final pending batch through the same path as a tick
+        (Flusher.push_left): a batch the store refuses is dead-lettered
+        and drain goes on. Lost links are retried until timeout_s has
+        passed; then all that is left, retained batch first, is written
+        to one dump and StoreUnavailable raised.
         """
-        self.flusher.stop()
-        retained = self.flusher.retained_batch
-        final, swap_id = self.take_pending()
-        batches = [batch for batch in (retained, final) if batch]
+        flusher = self.flusher
+        flusher.stop()
         try:
-            for i, batch in enumerate(batches):
-                if self._drain_batch(batches[i:], timeout_s):
-                    self.stats.drain_mutations += len(batch)
-            if swap_id is not None:
-                self.note_flush_outcome(swap_id, True, 0)
+            _retry(time.monotonic() + timeout_s, flusher.push_left, True)
+        except ConnectionLost as exc:
+            items = flusher.retained_batch.items + self.take_pending()[0].items
+            path = self._dump_batch(MutationBatch(items))
+            raise StoreUnavailable(
+                f"drain failed, mutations kept in {path}: {exc}"
+            ) from exc
         finally:
             self.worker_session.close()
             self.flusher_session.close()
         return self.stats
-
-    def _drain_batch(self, left: list[MutationBatch], timeout_s: float) -> bool:
-        """Apply left[0]; False when the store refused it (dead-lettered).
-
-        A store still unreachable after timeout_s gets all of left dumped.
-        """
-        batch = left[0]
-        deadline = time.monotonic() + timeout_s
-        delay = RETRY_BASE_S
-        while True:
-            try:
-                self.flusher_session.apply(batch)
-                return True
-            except ConnectionLost as exc:
-                self.stats.retries += 1
-                self.stats.last_error = str(exc)
-                if time.monotonic() + delay > deadline:
-                    items = [item for b in left for item in b.items]
-                    path = self._dump_batch(MutationBatch(items))
-                    raise StoreUnavailable(
-                        f"drain failed, mutations kept in {path}: {exc}"
-                    ) from exc
-                time.sleep(delay)
-                delay = min(delay * 2, RETRY_CAP_S)
-            except StateError as exc:
-                self._dead_letter(batch, exc)
-                return False
-
-    def _dead_letter(self, batch: MutationBatch, exc: StateError) -> None:
-        """Write out a batch the store refused and report it in the stats."""
-        path = self._dump_batch(batch)
-        self.stats.dead_letters += 1
-        self.stats.last_error = f"batch dead-lettered to {path}: {exc}"
 
     def _dump_batch(self, batch: MutationBatch) -> str:
         def enc(value):
@@ -562,11 +532,14 @@ class Flusher:
     their own slots out, so they never wake it. After a wake, a late tick
     or a backoff, the next deadline is the first grid boundary after now:
     the phase is kept and missed boundaries are skipped, so there are no
-    catch-up ticks. After a transport failure (ConnectionLost) the
-    failed batch is retained and retried with exponential backoff. Any
-    other StateError means the store refused the batch
-    (an Overflow, a TypeConflict), which a retry cannot change: the batch
-    is written to a dump file (see _dump_batch), counted in
+    catch-up ticks.
+
+    Every batch a tick or CoreCache.drain takes goes through _push, the
+    one place the flush rules live. A transport failure (ConnectionLost)
+    retains the batch for the next try; the tick backs off, drain retries
+    to its deadline. Any other StateError means the store refused the
+    batch (an Overflow, a TypeConflict), which a retry cannot change: the
+    batch is written to a dump file (see _dump_batch), counted in
     stats.dead_letters, named with the error in stats.last_error, and
     acknowledged so waiting calls proceed and the cadence keeps running.
     The dump holds the whole batch: on a store without atomic batches
@@ -646,41 +619,57 @@ class Flusher:
     def tick_once(self) -> bool:
         """One cadence tick. Returns False when the store was unreachable."""
         with self._tick_lock:
-            cache = self.cache
-            stats = cache.stats
+            stats = self.cache.stats
             stats.ticks += 1
-            if self.retained_batch is not None:
-                if not self._try_apply(self.retained_batch, self._retained_swap):
-                    return False
-                self.retained_batch = None
-                self._retained_swap = None
-            batch, swap_id = cache.take_pending()
-            if not batch:
-                stats.empty_ticks += 1
-                return True
-            if not self._try_apply(batch, swap_id):
-                self.retained_batch = batch
-                self._retained_swap = swap_id
+            try:
+                if not self.push_left(False):
+                    stats.empty_ticks += 1
+            except ConnectionLost:
                 return False
             return True
 
-    def _try_apply(self, batch: MutationBatch, swap_id: int | None) -> bool:
+    def push_left(self, draining: bool) -> bool:
+        """Push the retained batch, then take the pending log and push it.
+
+        False when the pending log was empty. A lost link leaves the
+        batch it hit retained and propagates ConnectionLost.
+        """
+        if self.retained_batch is not None:
+            self._push(self.retained_batch, self._retained_swap, draining)
+        batch, swap_id = self.cache.take_pending()
+        if not batch:
+            return False
+        self._push(batch, swap_id, draining)
+        return True
+
+    def _push(self, batch: MutationBatch, swap_id: int, draining: bool) -> None:
+        """Apply batch on the flusher session and settle its swap.
+
+        Landed batches count as drain_mutations when draining, else as a
+        succeeded flush (a tick also counts every attempt).
+        """
         cache = self.cache
         stats = cache.stats
-        stats.flushes_attempted += 1
+        if not draining:
+            stats.flushes_attempted += 1
         try:
             cache.flusher_session.apply(batch)
         except ConnectionLost as exc:
             stats.retries += 1
             stats.last_error = str(exc)
+            self.retained_batch, self._retained_swap = batch, swap_id
             cache.note_flush_outcome(swap_id, False, len(batch))
-            return False
+            raise
         except StateError as exc:
             # The store refused the batch; a retry would only fail again.
-            cache._dead_letter(batch, exc)
-            cache.note_flush_outcome(swap_id, True, 0)
-            return True
-        stats.flushes_succeeded += 1
-        stats.mutations_flushed += len(batch)
+            path = cache._dump_batch(batch)
+            stats.dead_letters += 1
+            stats.last_error = f"batch dead-lettered to {path}: {exc}"
+        else:
+            if draining:
+                stats.drain_mutations += len(batch)
+            else:
+                stats.flushes_succeeded += 1
+                stats.mutations_flushed += len(batch)
+        self.retained_batch = self._retained_swap = None
         cache.note_flush_outcome(swap_id, True, 0)
-        return True

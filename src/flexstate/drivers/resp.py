@@ -28,11 +28,12 @@ from the client side. Applying a grouped command twice, followed by the
 same tail, leaves the state it would have left once, so the window holds
 at most one mutation of a non-idempotent kind per command in flight.
 
-An error reply fails the batch only after every reply of its pipelined
-chunk has been read, so the next exchange on the session starts on a
-reply boundary. A batch the store failed that way is finished, not
-resumable: its ledger entry is dropped, and only a lost connection keeps
-one for a retry to resume from.
+Error replies are raised in one place, exchange, for batches, fetches,
+scans and wipes alike, and only once every reply of their pipelined
+chunk has been read, so the next exchange starts on a reply boundary. A
+batch the store failed that way is finished, not resumable: its ledger
+entry is dropped, and only a lost connection keeps one for a retry to
+resume from.
 
 Timeouts are the kernel's: a connected socket is blocking, with
 SO_RCVTIMEO and SO_SNDTIMEO set to _IO_TIMEOUT_S. A Python-level socket
@@ -177,9 +178,9 @@ class RespSession(DriverSession):
     def exchange(self, commands: list[bytes], seq: int | None = None) -> list:
         """Pipeline commands in chunks; return one reply per command.
 
-        Given a batch seq, every reply read advances acked[seq], and the
-        first error reply of a chunk is raised once the whole chunk has
-        been read. Without one, error replies come back as values.
+        The first error reply of a chunk is raised (as TypeConflict,
+        Overflow or ProtocolError) once the whole chunk has been read.
+        Given a batch seq, every reply read also advances acked[seq].
         """
         if self._sock is None:
             self.ensure_connected()
@@ -197,10 +198,9 @@ class RespSession(DriverSession):
                     replies.append(read_reply(reader))
                     if seq is not None:
                         acked[seq] += 1
-                if seq is not None:
-                    for reply in replies[start:]:
-                        if isinstance(reply, RespError):
-                            _raise_reply(reply)
+                for reply in replies[start:]:
+                    if isinstance(reply, RespError):
+                        _raise_reply(reply)
         except (OSError, ConnectionLost) as exc:
             what = "timed out" if self._stalled(exc) else "failed"
             self.drop_link()
@@ -271,8 +271,6 @@ class RespDriver(Driver):
 
     @staticmethod
     def _decode_fetch(stype: StructureType, reply):
-        if isinstance(reply, RespError):
-            _raise_reply(reply)
         if stype is StructureType.NAME_VALUE:
             return reply
         if stype is StructureType.COUNTER:
@@ -294,8 +292,6 @@ class RespDriver(Driver):
         reply = session.exchange(
             [protocol.encode_command(b"KEYS", pattern.encode("ascii"))]
         )[0]
-        if isinstance(reply, RespError):
-            _raise_reply(reply)
         keys = [parse_key(raw.decode("ascii")) for raw in reply]
         keys.sort(key=StoreKey.render)
         commands = [self._fetch_command(key) for key in keys]
@@ -306,9 +302,7 @@ class RespDriver(Driver):
         return out
 
     def _wipe(self, session: RespSession) -> None:
-        reply = session.exchange([protocol.encode_command(b"FLUSHALL")])[0]
-        if isinstance(reply, RespError):
-            _raise_reply(reply)
+        session.exchange([protocol.encode_command(b"FLUSHALL")])
 
     def close_session(self, session: RespSession) -> None:
         session.drop_link()

@@ -1,8 +1,9 @@
 """Bundled wire-compatible mini server.
 
 Speaks the RESP2 subset the resp driver emits: SET GET DEL INCRBY HSET
-HGET HDEL HINCRBY HGETALL SADD SREM SMEMBERS RPUSH LRANGE LLEN KEYS PING
-FLUSHALL. HSET takes one or more field/value pairs and returns how many
+HDEL HINCRBY HGETALL SADD SREM SMEMBERS RPUSH LRANGE KEYS FLUSHALL, plus
+HGET, LLEN and PING, which the driver never sends and are kept for tests.
+HSET takes one or more field/value pairs and returns how many
 fields were new, as Redis does since 4.0; the driver groups a flush's
 same-key map writes into one such command. One thread per connection;
 every command executes under a single data lock, so individual commands
@@ -189,9 +190,14 @@ class MiniRespServer:
             except _Reply as exc:
                 return protocol.encode_error(exc.message)
 
-    def _typed(self, key: bytes, want: type):
+    def _typed(self, key: bytes, want: type, create: bool = False):
+        """The value at key, checked to be a want; absent is None, or a
+        new empty want stored at key when create is set."""
         value = self._db.get(key)
-        if value is not None and not isinstance(value, want):
+        if value is None:
+            if create:
+                value = self._db[key] = want()
+        elif not isinstance(value, want):
             raise _Reply(_WRONGTYPE)
         return value
 
@@ -230,27 +236,21 @@ class MiniRespServer:
         self._db[key] = b"%d" % value
         return protocol.encode_integer(value)
 
-    def _hash(self, key: bytes, create: bool) -> dict | None:
-        value = self._typed(key, dict)
-        if value is None and create:
-            value = self._db[key] = {}
-        return value
-
     def _cmd_hset(self, args: list[bytes]) -> bytes:
         if len(args) % 2 == 0:
             raise _Reply(_arity_error("HSET"))
-        h = self._hash(args[0], create=True)
+        h = self._typed(args[0], dict, True)
         before = len(h)
         h.update(zip(args[1::2], args[2::2]))
         return protocol.encode_integer(len(h) - before)
 
     def _cmd_hget(self, args: list[bytes]) -> bytes:
-        h = self._hash(args[0], create=False)
+        h = self._typed(args[0], dict)
         return protocol.encode_bulk(None if h is None else h.get(args[1]))
 
     def _cmd_hdel(self, args: list[bytes]) -> bytes:
         key = args[0]
-        h = self._hash(key, create=False)
+        h = self._typed(key, dict)
         removed = 0
         if h is not None:
             for field in args[1:]:
@@ -263,7 +263,7 @@ class MiniRespServer:
 
     def _cmd_hincrby(self, args: list[bytes]) -> bytes:
         key, field, delta = args[0], args[1], _int_arg(args[2])
-        h = self._hash(key, create=True)
+        h = self._typed(key, dict, True)
         raw = h.get(field, b"0")
         try:
             current = int(raw)
@@ -280,7 +280,7 @@ class MiniRespServer:
         return protocol.encode_integer(value)
 
     def _cmd_hgetall(self, args: list[bytes]) -> bytes:
-        h = self._hash(args[0], create=False)
+        h = self._typed(args[0], dict)
         flat: list[bytes] = []
         if h:
             for field, value in h.items():
@@ -288,14 +288,8 @@ class MiniRespServer:
                 flat.append(value)
         return protocol.encode_array(flat)
 
-    def _set_value(self, key: bytes, create: bool) -> set | None:
-        value = self._typed(key, set)
-        if value is None and create:
-            value = self._db[key] = set()
-        return value
-
     def _cmd_sadd(self, args: list[bytes]) -> bytes:
-        s = self._set_value(args[0], create=True)
+        s = self._typed(args[0], set, True)
         added = 0
         for member in args[1:]:
             if member not in s:
@@ -305,7 +299,7 @@ class MiniRespServer:
 
     def _cmd_srem(self, args: list[bytes]) -> bytes:
         key = args[0]
-        s = self._set_value(key, create=False)
+        s = self._typed(key, set)
         removed = 0
         if s is not None:
             for member in args[1:]:
@@ -317,22 +311,16 @@ class MiniRespServer:
         return protocol.encode_integer(removed)
 
     def _cmd_smembers(self, args: list[bytes]) -> bytes:
-        s = self._set_value(args[0], create=False)
+        s = self._typed(args[0], set)
         return protocol.encode_array(sorted(s) if s else [])
 
-    def _list(self, key: bytes, create: bool) -> list | None:
-        value = self._typed(key, list)
-        if value is None and create:
-            value = self._db[key] = []
-        return value
-
     def _cmd_rpush(self, args: list[bytes]) -> bytes:
-        lst = self._list(args[0], create=True)
+        lst = self._typed(args[0], list, True)
         lst.extend(args[1:])
         return protocol.encode_integer(len(lst))
 
     def _cmd_lrange(self, args: list[bytes]) -> bytes:
-        lst = self._list(args[0], create=False)
+        lst = self._typed(args[0], list)
         start, stop = _int_arg(args[1]), _int_arg(args[2])
         if lst is None:
             return protocol.encode_array([])
@@ -346,7 +334,7 @@ class MiniRespServer:
         return protocol.encode_array(lst[start : min(stop, n - 1) + 1])
 
     def _cmd_llen(self, args: list[bytes]) -> bytes:
-        lst = self._list(args[0], create=False)
+        lst = self._typed(args[0], list)
         return protocol.encode_integer(0 if lst is None else len(lst))
 
     def _cmd_keys(self, args: list[bytes]) -> bytes:

@@ -279,6 +279,21 @@ def test_waiting_call_times_out_when_store_is_down(monkeypatch):
     cache.drain()
 
 
+def test_waiting_call_survives_brief_outage():
+    # Three lost links in a row cost a few milliseconds of backoff, well
+    # inside the waiting call's deadline: the call returns once the store
+    # has the batch, applied exactly once.
+    cache, rec = recording_cache()
+    counter = StateContext(cache).create_counter("c")
+    rec.fail_applies = 3
+    counter.add(1)
+    with rec.connect() as probe:
+        assert probe.fetch(counter.key) == 1
+    assert [items for _sid, _seq, items in rec.applied] == [[(counter.key, incr(1))]]
+    assert cache.stats.sync_flushes == 1
+    cache.drain()
+
+
 def test_flusher_retains_and_retries_exactly_once():
     cache, rec = recording_cache()
     ctx = StateContext(cache)
@@ -357,6 +372,31 @@ def test_drain_pushes_everything():
     with driver.connect() as probe:
         key = build_key("nf1", "ins1", 0, StructureType.COUNTER, "c")
         assert probe.fetch(key) == 7
+
+
+def test_drain_pushes_retained_batch_once_store_is_back():
+    # The flusher's try at incr(5) lost the link, so drain finds it
+    # retained; the store is back, so drain pushes it, then the final
+    # batch, and counts both as drained, not as flushes.
+    cache, rec = recording_cache()
+    ctx = StateContext(cache)
+    counter = ctx.create_counter("c")
+    m = ctx.create_map("m")
+    rec.fail_applies = 1
+    counter.add_nowait(5)
+    cache.flush_now()
+    assert cache.flusher.retained_batch is not None
+    m.insert_nowait(b"k", b"v")
+    stats = cache.drain()
+    assert flush_kinds(rec) == [("incr", None, 5), ("map_set", b"k", b"v")]
+    with rec.connect() as probe:
+        assert probe.fetch(counter.key) == 5
+        assert probe.fetch(m.key) == {b"k": b"v"}
+    assert stats.drain_mutations == 2
+    assert stats.retries == 1
+    assert stats.dead_letters == 0
+    assert stats.flushes_succeeded == 0
+    assert cache.flusher.retained_batch is None
 
 
 def test_drain_dumps_batch_when_store_stays_down():

@@ -483,6 +483,23 @@ def test_resp_foreign_non_integer_counter_values_are_type_conflict(mini_server):
             s.fetch(K_COUNTER)
 
 
+def test_resp_wrongtype_reply_raises_and_leaves_session_in_step(mini_server):
+    # Another client wrote a string where a Map lives. fetch and scan both
+    # meet the WRONGTYPE reply as TypeConflict; the scan's pipelined chunk
+    # is read to its end first, so the next fetch reads its own reply.
+    drv = make_driver("resp", mini_server.endpoint)
+    with drv.connect() as foreign, drv.connect() as s:
+        rendered = K_MAP.render().encode("ascii")
+        foreign.exchange([protocol.encode_command(b"SET", rendered, b"x")])
+        apply_items(s, [(K_NV, set_blob(b"v"))])
+        with pytest.raises(TypeConflict):
+            s.fetch(K_MAP)
+        with pytest.raises(TypeConflict):
+            s.scan_prefix("nf1", "ins1")
+        assert s.fetch(K_NV) == b"v"
+        assert s.reconnects == 1
+
+
 class CountingRespServer(MiniRespServer):
     def __init__(self):
         super().__init__()
