@@ -222,6 +222,11 @@ def _nat_checks(pool: WorkerPool, session, config: FlexConfig) -> dict:
     store_bindings = merge_maps(
         session, config.nf_id, config.instance_id, "natBindings"
     )
+    # Against the live cursors, not the bindings: a backpressure drop after
+    # an allocation legitimately leaves a cursor ahead of its bindings.
+    store_cursor = combine_counters(
+        session, config.nf_id, config.instance_id, "natCursor"
+    )
     return {
         "bindings": len(union),
         "exhausted_drops": sum(nf.exhausted_drops for nf in nfs),
@@ -231,6 +236,7 @@ def _nat_checks(pool: WorkerPool, session, config: FlexConfig) -> dict:
         "chunks_respected": chunks_ok,
         "stable": all(nf.stability_violations == 0 for nf in nfs),
         "store_matches_log": store_bindings == union,
+        "cursor_matches_log": store_cursor == sum(nf.cursor.read() for nf in nfs),
     }
 
 

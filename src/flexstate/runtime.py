@@ -1,17 +1,29 @@
 """Simulated multi-core packet runtime.
 
-A dispatcher thread plays the NIC: it routes each packet to a core by a
-deterministic hash of the 5-tuple (same flow, same core, always) and feeds
-bounded per-core queues in chunks. Each core is an ordinary thread running
-one NF instance over one StateContext. Two feeding modes:
+A dispatcher thread plays the NIC. It pulls the packet stream in slabs of
+chunk_packets and feeds bounded per-core queues in chunks:
+
+  one core: one queue, so no flow hashing at all; each slab is offered
+    as it is, which cuts the stream straight into chunks (full chunks,
+    then one shorter last chunk).
+  more cores: each packet of a slab goes to a core by a deterministic
+    hash of its 5-tuple (same flow, same core, always) and waits in that
+    core's buffer until the buffer holds a full chunk.
+
+Each core is an ordinary thread running one NF instance over one
+StateContext. Two feeding modes:
 
   lossless (default): the dispatcher blocks when a queue is full; every
     packet offered is eventually processed. Used for closed-loop runs
     where exact packet accounting matters.
   timed (duration_s set): the dispatcher drops whole chunks when a queue
-    is full and counts them; nothing ever blocks on a slow core.
+    is full and counts them; nothing ever blocks on a slow core. The
+    deadline is checked after each slab.
 
 Either way the books must balance: packets_in == processed + dropped.
+If the packet source raises, the packets it gave are still offered, every
+core gets its end-of-stream sentinel and drains, and then the source's
+error propagates.
 """
 
 from __future__ import annotations
@@ -22,6 +34,7 @@ import threading
 import time
 import traceback
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Callable, Iterable, NamedTuple
 
 from .api import StateContext
@@ -175,34 +188,23 @@ class _Worker(threading.Thread):
                         self.error = f"drain failed: {exc}"
 
     def _loop(self, ctx: StateContext) -> None:
+        # Counted per chunk; a chunk an NF error cuts short is not counted.
         handle = self.nf.handle
-        get = self.inbox.get
-        processed = forwarded = nf_dropped = 0
+        processed = nf_dropped = 0
         try:
-            while True:
-                chunk = get()
-                if chunk is None:
-                    break
+            for chunk in iter(self.inbox.get, None):
                 for pkt in chunk:
-                    out = handle(pkt, ctx)
-                    processed += 1
-                    if out is None:
+                    if handle(pkt, ctx) is None:
                         nf_dropped += 1
-                    else:
-                        forwarded += 1
+                processed += len(chunk)
         finally:
             self.processed = processed
-            self.forwarded = forwarded
+            self.forwarded = processed - nf_dropped
             self.nf_dropped = nf_dropped
 
     def _discard_until_sentinel(self) -> None:
-        while True:
-            try:
-                chunk = self.inbox.get(timeout=5.0)
-            except queue.Empty:
-                return
-            if chunk is None:
-                return
+        # The dispatcher sends the sentinel even when its source fails.
+        for chunk in iter(self.inbox.get, None):
             self.discarded += len(chunk)
 
 
@@ -247,7 +249,6 @@ class WorkerPool:
 
         chunk_size = self.chunk_packets
         lossless = duration_s is None
-        route: dict[tuple, int] = {}
         buffers: list[list] = [[] for _ in range(n)]
         queue_dropped = [0] * n
         packets_in = 0
@@ -263,27 +264,50 @@ class WorkerPool:
                 except queue.Full:
                     queue_dropped[core] += len(buf)
 
-        for pkt in packets:
-            flow = pkt[:5]
-            core = route.get(flow)
-            if core is None:
-                core = route[flow] = rss_hash(flow, n)
-            buf = buffers[core]
-            buf.append(pkt)
-            packets_in += 1
-            if len(buf) >= chunk_size:
-                buffers[core] = []
-                offer(core, buf)
+        if n == 1:
+            def dispatch(slab: list) -> None:
+                offer(0, slab)
+        else:
+            route: dict[tuple, int] = {}
+
+            def dispatch(slab: list) -> None:
+                for pkt in slab:
+                    flow = pkt[:5]
+                    core = route.get(flow)
+                    if core is None:
+                        core = route[flow] = rss_hash(flow, n)
+                    buf = buffers[core]
+                    buf.append(pkt)
+                    if len(buf) >= chunk_size:
+                        buffers[core] = []
+                        offer(core, buf)
+
+        source = iter(packets)
+        slab: list = []
+        try:
+            while True:
+                # Filled in place, so that what a failing source gave
+                # before raising is still dispatched below.
+                slab.extend(islice(source, chunk_size))
+                if not slab:
+                    break
+                packets_in += len(slab)
+                taken, slab = slab, []
+                dispatch(taken)
                 if deadline is not None and time.perf_counter() >= deadline:
                     break
-
-        for core, buf in enumerate(buffers):
-            if buf:
-                offer(core, buf)
-        for core in range(n):
-            inboxes[core].put(None)
-        for w in self.workers:
-            w.join()
+        finally:
+            try:
+                if slab:
+                    dispatch(slab)
+                for core, buf in enumerate(buffers):
+                    if buf:
+                        offer(core, buf)
+            finally:
+                for inbox in inboxes:
+                    inbox.put(None)
+                for w in self.workers:
+                    w.join()
 
         errors = [w.error for w in self.workers if w.error]
         if errors:

@@ -414,3 +414,53 @@ def test_clean_repetition_has_no_dead_letters():
     report = bench.run_scenario(tiny(cores=2, repetitions=1))
     assert report.reps[0].checks["no_dead_letters"] is True
     assert report.reps[0].passed()
+
+
+# The NAT cursor must reach the store.
+
+
+def test_lost_cursor_increment_fails_the_repetition(monkeypatch):
+    # Every binding lands but one allocation-cursor delta does not: only
+    # the cursor check can tell, and a restarted core would then hand out
+    # an already bound pair again.
+    from flexstate.drivers.base import MutationBatch
+    from flexstate.testing import RecordingDriver
+
+    class DropOneCursorIncr(RecordingDriver):
+        dropped = False
+
+        def _apply(self, session, batch):
+            items = list(batch.items)
+            for i, (key, mutation) in enumerate(items):
+                if (
+                    not self.dropped
+                    and key.structure_id == "natCursor"
+                    and mutation.kind == "incr"
+                ):
+                    del items[i]
+                    self.dropped = True
+                    break
+            super()._apply(session, MutationBatch(items, seq=batch.seq))
+
+    drivers = []
+
+    def make_dropping(label, endpoint="local"):
+        driver = DropOneCursorIncr(bench_make_driver(label, endpoint))
+        drivers.append(driver)
+        return driver
+
+    bench_make_driver = bench.make_driver
+    monkeypatch.setattr(bench, "make_driver", make_dropping)
+    scenario = tiny(
+        nf="nat",
+        cores=1,
+        n_flows=300,
+        budget=3000,
+        repetitions=1,
+        nf_params={"pool_size": 4096},
+    )
+    rep = bench.run_scenario(scenario).reps[0]
+    assert drivers[0].dropped
+    failed = [k for k, v in rep.checks.items() if v is False]
+    assert failed == ["cursor_matches_log"]
+    assert not rep.passed()
