@@ -29,14 +29,13 @@ from .limits import (
     MAX_BLOB_BYTES,
     MAX_ELEMENT_BYTES,
     MAX_MAP_KEY_BYTES,
-    INT64_MAX,
-    INT64_MIN,
-    check_int64,
+    check_int,
 )
 
 # Each check returns at once for the common input (exact bytes within the
 # limit, an exact int within int64); anything else takes the full path,
-# which converts a bytearray and raises for everything it refuses.
+# which converts a bytearray and raises for everything it refuses. The
+# increments (Counter add, CounterMap add_to) check their int in the fold.
 
 
 def _check_blob(value: bytes) -> bytes:
@@ -71,14 +70,6 @@ def _check_map_key(key: bytes) -> bytes:
     return bytes(key)
 
 
-def _check_int(value: int) -> int:
-    if type(value) is int and INT64_MIN <= value <= INT64_MAX:
-        return value
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise TypeError(f"expected int, not {type(value).__name__}")
-    return check_int64(value)
-
-
 class _Handle:
     __slots__ = ("_cache", "_state")
 
@@ -104,16 +95,16 @@ class CounterHandle(_Handle):
         return self._state.live is not None
 
     def set(self, value: int) -> None:
-        self._cache.apply_op(self._state, _CounterState.set_value, _check_int(value), wait=True)
+        self._cache.apply_op(self._state, _CounterState.set_value, check_int(value), wait=True)
 
     def set_nowait(self, value: int) -> None:
-        self._cache.apply_op(self._state, _CounterState.set_value, _check_int(value))
+        self._cache.apply_op(self._state, _CounterState.set_value, check_int(value))
 
     def add(self, n: int = 1) -> None:
-        self._cache.apply_op(self._state, _CounterState.add, _check_int(n), wait=True)
+        self._cache.apply_op(self._state, _CounterState.add, n, wait=True)
 
     def add_nowait(self, n: int = 1) -> None:
-        self._cache.apply_op(self._state, _CounterState.add, _check_int(n))
+        self._cache.apply_op(self._state, _CounterState.add, n)
 
     def delete(self) -> None:
         self._cache.apply_op(self._state, _CounterState.drop, wait=True)
@@ -188,22 +179,22 @@ class CounterMapHandle(_MapHandleBase):
 
     def add_to(self, key: bytes, n: int) -> None:
         self._cache.apply_op(
-            self._state, _CounterMapState.add_to, _check_map_key(key), _check_int(n), wait=True
+            self._state, _CounterMapState.add_to, _check_map_key(key), n, wait=True
         )
 
     def add_to_nowait(self, key: bytes, n: int) -> None:
         self._cache.apply_op(
-            self._state, _CounterMapState.add_to, _check_map_key(key), _check_int(n)
+            self._state, _CounterMapState.add_to, _check_map_key(key), n
         )
 
     def insert(self, key: bytes, value: int) -> None:
         self._cache.apply_op(
-            self._state, _CounterMapState.insert, _check_map_key(key), _check_int(value), wait=True
+            self._state, _CounterMapState.insert, _check_map_key(key), check_int(value), wait=True
         )
 
     def insert_nowait(self, key: bytes, value: int) -> None:
         self._cache.apply_op(
-            self._state, _CounterMapState.insert, _check_map_key(key), _check_int(value)
+            self._state, _CounterMapState.insert, _check_map_key(key), check_int(value)
         )
 
 

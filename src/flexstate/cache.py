@@ -22,6 +22,11 @@ If the flusher currently has a batch in flight (or retained after a
 failure), the waiting call first waits for that batch so the store sees
 one order per structure.
 
+Every handle mutator, in both forms, enters through apply_op(state,
+method, a, b): its arguments are plain positionals, the _nowait forms pass
+nothing else and the waiting forms add wait=True. Counter and CounterMap
+increments check their int argument inside the fold, beside the sum.
+
 Locking: one plain threading.Lock guards the pending log, the dirty list
 and the flush bookkeeping. The mutation path (apply_op) takes it with an
 explicit acquire/release pair, one raw-lock round trip per call; the cold
@@ -53,13 +58,13 @@ from .errors import (
     TypeConflict,
 )
 from .keys import StoreKey, StructureType, build_key, check_structure_id
-from .limits import INT64_MAX, INT64_MIN, check_int64
+from .limits import INT64_MAX, INT64_MIN, check_int, check_int64
 
 DEFAULT_BACKPRESSURE_LIMIT = 2**20
 RETRY_BASE_S = 0.001
 RETRY_CAP_S = 0.100
 SYNC_TIMEOUT_S = 5.0
-CREATE_RETRIES = 3
+_NO_ARG = object()  # an apply_op argument slot the mutator does not take
 
 
 def _retry(deadline: float, call, *args):
@@ -120,6 +125,8 @@ class _CounterState(_NameValueState):
     stype = StructureType.COUNTER
 
     def add(self, n: int) -> int:
+        if type(n) is not int or not INT64_MIN <= n <= INT64_MAX:
+            n = check_int(n)  # the argument checks; raises what it refuses
         value = (self.live or 0) + n
         if not INT64_MIN <= value <= INT64_MAX:
             check_int64(value)  # raises Overflow
@@ -128,10 +135,12 @@ class _CounterState(_NameValueState):
             self.pend = ("incr", n)
             delta = 1
         else:
-            if p[0] == "delete":
-                self.pend = ("set_blob", value)
+            # After a set or a delete, or where the summed increment would
+            # leave int64, the slot becomes a set of the live value.
+            if p[0] == "incr" and INT64_MIN <= (acc := p[1] + n) <= INT64_MAX:
+                self.pend = ("incr", acc)
             else:
-                self.pend = (p[0], p[1] + n)
+                self.pend = ("set_blob", value)
             delta = 0
         self.live = value
         return delta
@@ -189,6 +198,8 @@ class _CounterMapState(_MapState):
     stype = StructureType.COUNTER_MAP
 
     def add_to(self, fieldname: bytes, n: int) -> int:
+        if type(n) is not int or not INT64_MIN <= n <= INT64_MAX:
+            n = check_int(n)  # the argument checks; raises what it refuses
         value = self.live.get(fieldname, 0) + n
         if not INT64_MIN <= value <= INT64_MAX:
             check_int64(value)  # raises Overflow
@@ -197,10 +208,10 @@ class _CounterMapState(_MapState):
             self.pend[fieldname] = ("map_incr", n)
             delta = 1
         else:
-            if p[0] == "map_del":
-                self.pend[fieldname] = ("map_set", value)
+            if p[0] == "map_incr" and INT64_MIN <= (acc := p[1] + n) <= INT64_MAX:
+                self.pend[fieldname] = ("map_incr", acc)
             else:
-                self.pend[fieldname] = (p[0], p[1] + n)
+                self.pend[fieldname] = ("map_set", value)
             delta = 0
         self.live[fieldname] = value
         return delta
@@ -353,26 +364,23 @@ class CoreCache:
                     )
                 return existing
         key = build_key(self.nf_id, self.instance_id, self.core_id, stype, structure_id)
-        snapshot = self._fetch_with_retry(key)
+        try:
+            snapshot = _retry(
+                time.monotonic() + SYNC_TIMEOUT_S, self.worker_session.fetch, key
+            )
+        except ConnectionLost as exc:
+            raise StoreUnavailable(f"cannot hydrate {key}: {exc}") from exc
         state = _STATE_BY_TYPE[stype](key, snapshot)
         with self._cond:
             raced = self._registry.setdefault(structure_id, state)
         return raced
 
-    def _fetch_with_retry(self, key: StoreKey):
-        delay = RETRY_BASE_S
-        for attempt in range(CREATE_RETRIES):
-            try:
-                return self.worker_session.fetch(key)
-            except ConnectionLost as exc:
-                if attempt == CREATE_RETRIES - 1:
-                    raise StoreUnavailable(f"cannot hydrate {key}: {exc}") from exc
-                time.sleep(delay)
-                delay = min(delay * 2, RETRY_CAP_S)
+    # Mutation entry point used by the handles: method(state, a, b) with
+    # only the arguments given, as no mutator takes more than two. wait is
+    # passed by keyword but not keyword-only: CPython 3.11 does not
+    # specialize calls to a function that has keyword-only parameters.
 
-    # Mutation entry point used by the handles.
-
-    def apply_op(self, state, method, *args, wait: bool = False):
+    def apply_op(self, state, method, a=_NO_ARG, b=_NO_ARG, wait: bool = False):
         lock = self._lock
         lock.acquire()
         try:
@@ -383,16 +391,12 @@ class CoreCache:
                 raise BackpressureSignal(
                     f"{self._pending_total + self._retained_len} pending mutations"
                 )
-            # Spelled out because method(state, *args) costs CPython 3.11
-            # ~140 ns more than a positional call; no mutator takes more
-            # than two arguments.
-            n = len(args)
-            if n == 1:
-                delta = method(state, args[0])
-            elif n == 2:
-                delta = method(state, args[0], args[1])
+            if b is not _NO_ARG:
+                delta = method(state, a, b)
+            elif a is not _NO_ARG:
+                delta = method(state, a)
             else:
-                delta = method(state, *args)
+                delta = method(state)
             if delta:
                 # A fold that adds no slot (delta 0) or only removes some
                 # lands on a structure that already has pending slots,

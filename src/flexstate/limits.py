@@ -18,6 +18,15 @@ def check_int64(value: int) -> int:
     return value
 
 
+def check_int(value: int) -> int:
+    """Return value if an int (not bool) in int64; else raise TypeError or Overflow."""
+    if type(value) is int and INT64_MIN <= value <= INT64_MAX:
+        return value
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"expected int, not {type(value).__name__}")
+    return check_int64(value)
+
+
 def as_int(raw) -> int:
     """Parse a stored counter value; raise TypeConflict when it is not one."""
     try:

@@ -45,10 +45,14 @@ def _arity_error(name: str) -> str:
 
 
 def _int_arg(raw: bytes) -> int:
+    """An integer argument; like Redis, refuses one outside int64."""
     try:
-        return int(raw)
+        value = int(raw)
     except ValueError:
         raise _Reply(_NOT_INT) from None
+    if not INT64_MIN <= value <= INT64_MAX:
+        raise _Reply(_NOT_INT)
+    return value
 
 
 class MiniRespServer:

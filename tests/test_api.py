@@ -368,3 +368,103 @@ def test_bytearray_arguments_stored_as_bytes(ctx):
     assert all(type(x) is bytes for x in stored)  # == alone accepts bytearray
     assert m.get(bytearray(b"k")) == b"v"
     assert s.contains(bytearray(b"m"))
+
+
+def _pending_view(cache):
+    # The state a refused call must not touch: every live value, every
+    # pending slot and the dirty list.
+    states = cache._registry.values()
+    return (
+        [(s.key.structure_id, repr(s.live), repr(s.pend)) for s in states],
+        list(cache._dirty),
+        cache.pending_mutations,
+    )
+
+
+def test_refused_increment_leaves_state_untouched(ctx):
+    c = ctx.create_counter("c")
+    cm = ctx.create_counter_map("cm")
+    c.set(-5)
+    cm.insert(b"f", -5)
+    c.add_nowait(3)
+    cm.add_to_nowait(b"f", 3)
+    before = _pending_view(ctx.cache)
+    # The argument is refused even where the sum (-2 + arg) would fit;
+    # an Overflow names the argument, or the sum when only the sum leaves.
+    for bad, exc, named in [
+        (None, TypeError, None),
+        (True, TypeError, None),
+        (1.0, TypeError, None),
+        ("1", TypeError, None),
+        (2**63, Overflow, 2**63),
+        (_Int(2**63), Overflow, 2**63),
+        (-(2**63) - 1, Overflow, -(2**63) - 1),
+        (-(2**63), Overflow, -(2**63) - 2),
+    ]:
+        for call in (
+            c.add,
+            c.add_nowait,
+            lambda n: cm.add_to(b"f", n),
+            lambda n: cm.add_to_nowait(b"f", n),
+        ):
+            with pytest.raises(exc) as info:
+                call(bad)
+            if named is not None:
+                assert str(info.value) == f"{named} outside signed 64-bit range"
+            assert _pending_view(ctx.cache) == before
+    assert (c.read(), cm.get(b"f")) == (-2, -2)
+
+
+# Mutator calls per handle type; with READS, every public method.
+_MUTATORS = {
+    "counter": {
+        "set": (5,), "set_nowait": (5,), "add": (1,), "add_nowait": (1,),
+        "delete": (), "delete_nowait": (),
+    },
+    "name_value": {
+        "create": (b"v",), "create_nowait": (b"v",), "update": (b"w",),
+        "update_nowait": (b"w",), "delete": (), "delete_nowait": (),
+    },
+    "map": {
+        "insert": (b"k", b"v"), "insert_nowait": (b"k", b"v"), "remove": (b"k",),
+        "remove_nowait": (b"k",), "delete": (), "delete_nowait": (),
+    },
+    "counter_map": {
+        "insert": (b"k", 3), "insert_nowait": (b"k", 3), "add_to": (b"k", 1),
+        "add_to_nowait": (b"k", 1), "remove": (b"k",), "remove_nowait": (b"k",),
+        "delete": (), "delete_nowait": (),
+    },
+    "list": {
+        "push_back": (b"e",), "push_back_nowait": (b"e",), "clear": (),
+        "clear_nowait": (),
+    },
+    "set": {
+        "insert": (b"m",), "insert_nowait": (b"m",), "remove": (b"m",),
+        "remove_nowait": (b"m",),
+    },
+}
+_READS = {"read", "exists", "get", "has", "read_all", "size", "length", "contains"}
+
+
+def test_every_mutator_enters_apply_op_once(ctx, monkeypatch):
+    # apply_op is the one mutation entry, in both forms: the tracer times
+    # it by patching the class attribute, which the handles look up.
+    entries = []
+    apply_op = CoreCache.apply_op
+
+    def counting(cache, *args, **kwargs):
+        entries.append(kwargs.get("wait", False))
+        return apply_op(cache, *args, **kwargs)
+
+    monkeypatch.setattr(CoreCache, "apply_op", counting)
+    for kind, calls in _MUTATORS.items():
+        handle = getattr(ctx, f"create_{kind}")(kind)
+        public = {
+            name for name in dir(handle)
+            if not name.startswith("_") and callable(getattr(handle, name))
+        }
+        assert public - _READS == set(calls), kind
+        for name, args in calls.items():
+            entries.clear()
+            getattr(handle, name)(*args)
+            assert entries == [not name.endswith("_nowait")], (kind, name)

@@ -27,11 +27,12 @@ from flexstate.drivers import (
 )
 from flexstate.errors import (
     BackpressureSignal,
+    ConnectionLost,
     StoreUnavailable,
     TypeConflict,
 )
 from flexstate.keys import StructureType, build_key
-from flexstate.limits import INT64_MAX
+from flexstate.limits import INT64_MAX, INT64_MIN
 from flexstate.testing import RecordingDriver
 
 
@@ -147,6 +148,51 @@ def test_countermap_del_then_add_folds_to_set():
     cache.flush_now()
     assert flush_kinds(rec)[-1] == ("map_set", b"f", 4)
     assert cm.get(b"f") == 4
+    cache.drain()
+
+
+@pytest.mark.parametrize("label", ["flatkvs", "tablestore", "resp"])
+def test_folded_increment_leaving_int64_becomes_a_set(label, mini_server):
+    # Every live value stays in range, but incr(INT64_MAX) folded with
+    # incr(5) would flush one increment past int64, which a real Redis
+    # refuses as an argument. The slot must flush the live value instead.
+    endpoint = mini_server.endpoint if label == "resp" else "local"
+    rec = RecordingDriver(make_driver(label, endpoint))
+    cache = make_cache(rec)
+    ctx = StateContext(cache)
+    c = ctx.create_counter("c")
+    cm = ctx.create_counter_map("cm")
+    c.set(INT64_MIN)
+    cm.insert(b"f", INT64_MIN)
+    c.add_nowait(INT64_MAX)
+    cm.add_to_nowait(b"f", INT64_MAX)
+    c.add_nowait(5)
+    cm.add_to_nowait(b"f", 5)
+    cache.flush_now()
+    assert cache.stats.dead_letters == 0, cache.stats.last_error
+    increments = [
+        m.value for _key, m in rec.applied_mutations() if m.kind in ("incr", "map_incr")
+    ]
+    assert all(INT64_MIN <= n <= INT64_MAX for n in increments), increments
+    assert flush_kinds(rec)[-2:] == [("set_blob", None, 4), ("map_set", b"f", 4)]
+    with rec.connect() as probe:
+        assert probe.fetch(c.key) == 4
+        assert probe.fetch(cm.key) == {b"f": 4}
+    assert (c.read(), cm.get(b"f")) == (4, 4)
+    cache.drain()
+    rec.close()
+
+
+def test_increment_folds_stay_increments_within_int64():
+    cache, rec = recording_cache()
+    ctx = StateContext(cache)
+    c = ctx.create_counter("c")
+    cm = ctx.create_counter_map("cm")
+    for n in (INT64_MAX, -5, INT64_MIN + 5):
+        c.add_nowait(n)
+        cm.add_to_nowait(b"f", n)
+    cache.flush_now()
+    assert flush_kinds(rec) == [("incr", None, -1), ("map_incr", b"f", -1)]
     cache.drain()
 
 
@@ -520,25 +566,49 @@ def test_hydration_reads_existing_state():
     cache.drain()
 
 
-def test_create_structure_retries_then_gives_up():
-    cache, rec = recording_cache()
+class _FailingFetch:
+    """Stands in for a session's fetch: the first `failures` calls lose
+    the link, later ones reach the real fetch."""
 
-    class FailingFetch:
-        def __init__(self, session):
-            self.session = session
-            self.calls = 0
+    def __init__(self, session, failures):
+        self.fetch = session.fetch
+        self.failures = failures
+        self.calls = 0
 
-        def __call__(self, key):
-            self.calls += 1
-            from flexstate.errors import ConnectionLost
-
+    def __call__(self, key):
+        self.calls += 1
+        if self.calls <= self.failures:
             raise ConnectionLost("injected fetch failure")
+        return self.fetch(key)
 
-    failer = FailingFetch(cache.worker_session)
+
+def test_create_structure_retries_then_gives_up(monkeypatch):
+    # Hydration retries a lost link like a waiting call does, up to the
+    # SYNC_TIMEOUT_S deadline, then raises StoreUnavailable.
+    monkeypatch.setattr(cache_mod, "SYNC_TIMEOUT_S", 0.2)
+    cache, rec = recording_cache()
+    failer = _FailingFetch(cache.worker_session, 10**9)
     cache.worker_session.fetch = failer
-    with pytest.raises(StoreUnavailable):
+    started = time.monotonic()
+    with pytest.raises(StoreUnavailable, match="cannot hydrate nf1@ins1@0@Counter@c"):
         cache.create_structure(StructureType.COUNTER, "c")
-    assert failer.calls == 3
+    assert time.monotonic() - started < 1.0  # the 0.2 s deadline, not 5 s
+    assert failer.calls > 3
+    assert cache._registry == {}
+    cache.drain()
+
+
+def test_create_counter_survives_brief_fetch_outage():
+    # Five lost links cost about 31 ms of backoff, far inside the deadline.
+    driver = make_driver("flatkvs")
+    seed = make_cache(driver)
+    StateContext(seed).create_counter("c").set_nowait(7)
+    seed.drain()
+    cache = make_cache(driver)
+    failer = _FailingFetch(cache.worker_session, 5)
+    cache.worker_session.fetch = failer
+    assert StateContext(cache).create_counter("c").read() == 7
+    assert failer.calls == 6
     cache.drain()
 
 

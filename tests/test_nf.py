@@ -20,7 +20,7 @@ from flexstate.nf import (
 from flexstate.nf.counter import CounterAsyncNF, CounterSyncNF
 from flexstate.nf.lb import LoadBalancerNF
 from flexstate.nf.nat import EXTERNAL_BASE, NatNF, chunk_bounds, pool_entry
-from flexstate.runtime import make_packet
+from flexstate.runtime import Packet, make_packet
 
 _FLOW = struct.Struct("!IIHHB")
 
@@ -48,6 +48,19 @@ def test_counter_nf_counts_and_swaps(nf_cls):
     assert out.src_port == pkt.dst_port
     assert out.dst_port == pkt.src_port
     assert nf.summary() == {"count": 10, "store_errors": 0}
+    cache.drain()
+
+
+@pytest.mark.parametrize("nf_cls", [CounterSyncNF, CounterAsyncNF])
+def test_counter_nf_output_is_a_plain_packet(nf_cls):
+    ctx, cache = make_ctx(make_driver("flatkvs"))
+    nf = nf_cls()
+    nf.setup(ctx)
+    pkt = flow_packet(1)._replace(size=1500, meta="tag")
+    out = nf.handle(pkt, ctx)
+    assert type(out) is Packet
+    assert out == Packet(pkt.dst_ip, pkt.src_ip, 80, 5000, 6, 1500, None)
+    assert out.meta is None
     cache.drain()
 
 

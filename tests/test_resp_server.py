@@ -77,6 +77,27 @@ def test_incrby_overflow(client):
     assert_error(client.call(b"INCRBY", b"c", b"1"), "overflow")
 
 
+@pytest.mark.parametrize("delta", [2**63, -(2**63) - 1, 2**64])
+def test_increment_argument_outside_int64_refused(client, delta):
+    # As Redis: the argument itself must fit int64, whatever the sum.
+    client.call(b"SET", b"c", b"-5")
+    client.call(b"HSET", b"h", b"f", b"-5")
+    arg = str(delta).encode()
+    for reply in (
+        client.call(b"INCRBY", b"c", arg),
+        client.call(b"HINCRBY", b"h", b"f", arg),
+        client.call(b"HINCRBY", b"fresh", b"f", arg),
+    ):
+        assert isinstance(reply, RespError)
+        assert reply.message == "ERR value is not an integer or out of range"
+    assert client.call(b"GET", b"c") == b"-5"
+    assert client.call(b"HGET", b"h", b"f") == b"-5"
+    assert client.call(b"KEYS", b"fresh") == []
+    limit = str(2**63 - 1).encode()
+    assert client.call(b"INCRBY", b"c", limit) == 2**63 - 6
+    assert client.call(b"HINCRBY", b"h", b"f", limit) == 2**63 - 6
+
+
 def test_wrongtype(client):
     client.call(b"RPUSH", b"L", b"x")
     assert_error(client.call(b"GET", b"L"), "WRONGTYPE")
