@@ -65,6 +65,7 @@ RETRY_BASE_S = 0.001
 RETRY_CAP_S = 0.100
 SYNC_TIMEOUT_S = 5.0
 _NO_ARG = object()  # an apply_op argument slot the mutator does not take
+_new = tuple.__new__  # builds a Mutation without NamedTuple's Python __new__
 
 
 def _retry(deadline: float, call, *args):
@@ -86,8 +87,12 @@ def _retry(deadline: float, call, *args):
 # net change in pending-slot count; collect() drains the slots into a
 # batch. Each pending op is recorded under the Mutation kind it flushes
 # as, so collect only attaches the key (and field or member). The
-# invariant throughout: replaying the pending slots on top of the store's
-# current value yields exactly `live`.
+# collections, which can hold thousands of slots, build their items in
+# one list comprehension with tuple.__new__(Mutation, ...): NamedTuple's
+# generated __new__ and a batch.add call per item would cost about twice
+# as much, all of it under the cache lock. The invariant throughout:
+# replaying the pending slots on top of the store's current value yields
+# exactly `live`.
 
 
 class _NameValueState:
@@ -183,12 +188,14 @@ class _MapState:
         count = self._slots()
         if count == 0:
             return 0
-        if self.reset:
-            batch.add(self.key, Mutation("delete"))
-            self.reset = False
         key = self.key
-        for fieldname, (kind, value) in self.pend.items():
-            batch.add(key, Mutation(kind, fieldname, value))
+        if self.reset:
+            batch.add(key, Mutation("delete"))
+            self.reset = False
+        batch.items += [
+            (key, _new(Mutation, (kind, fieldname, value)))
+            for fieldname, (kind, value) in self.pend.items()
+        ]
         self.pend.clear()
         return count
 
@@ -243,11 +250,13 @@ class _ListState:
         count = len(self.appends) + (1 if self.reset else 0)
         if count == 0:
             return 0
+        key = self.key
         if self.reset:
-            batch.add(self.key, Mutation("list_clear"))
+            batch.add(key, Mutation("list_clear"))
             self.reset = False
-        for value in self.appends:
-            batch.add(self.key, Mutation("list_append", None, value))
+        batch.items += [
+            (key, _new(Mutation, ("list_append", None, value))) for value in self.appends
+        ]
         self.appends.clear()
         return count
 
@@ -277,8 +286,10 @@ class _SetState:
         count = len(self.pend)
         if count == 0:
             return 0
-        for member, kind in self.pend.items():
-            batch.add(self.key, Mutation(kind, None, member))
+        key = self.key
+        batch.items += [
+            (key, _new(Mutation, (kind, None, member))) for member, kind in self.pend.items()
+        ]
         self.pend.clear()
         return count
 

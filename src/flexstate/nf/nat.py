@@ -6,6 +6,11 @@ coordinating. Each core keeps its bindings in a Map (packed 5-tuple ->
 packed pair) and its allocation cursor in a Counter; both persist, so a
 restarted core resumes after its previously allocated entries instead of
 double-assigning them.
+
+handle unpacks the packet once, packs the flow key from those fields and
+builds the rewritten packet with one tuple.__new__ over all seven fields,
+as the counter NFs do: NamedTuple's generated __new__ costs more than the
+tuple. The header work stays: the pair is still packed and unpacked.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ EXTERNAL_BASE = 0x64400000
 
 _FLOW = struct.Struct("!IIHHB")
 _PAIR = struct.Struct("!IH")
+_new = tuple.__new__  # builds a Packet without NamedTuple's Python __new__
 
 
 def pool_entry(index: int) -> tuple[int, int]:
@@ -74,7 +80,8 @@ class NatNF:
         return self.chunk_start + index
 
     def handle(self, pkt: Packet, ctx: StateContext):
-        flow_key = _FLOW.pack(*pkt[:5])
+        src_ip, dst_ip, src_port, dst_port, proto, size, _meta = pkt
+        flow_key = _FLOW.pack(src_ip, dst_ip, src_port, dst_port, proto)
         pair = self.bindings.get(flow_key)
         if pair is None:
             try:
@@ -95,9 +102,7 @@ class NatNF:
         elif self._assigned.get(flow_key, pair) != pair:
             self.stability_violations += 1
         ext_ip, ext_port = _PAIR.unpack(pair)
-        return Packet(
-            ext_ip, pkt.dst_ip, ext_port, pkt.dst_port, pkt.proto, pkt.size
-        )
+        return _new(Packet, (ext_ip, dst_ip, ext_port, dst_port, proto, size, None))
 
     def summary(self) -> dict:
         return {

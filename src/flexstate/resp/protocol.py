@@ -12,6 +12,11 @@ back as one of five frames, distinguished by their first byte:
 Parsing is strict: CRLF line endings, exact declared lengths, no inline
 commands. Anything else raises ProtocolError. EOF in the middle of a frame
 raises ConnectionLost; EOF on a frame boundary is a clean close.
+
+Commands have one parser, parse_command, which works on a bytes buffer
+(the bundled server's framing); read_command reads one command from a
+file object through it. Replies are read from a file object by
+read_reply.
 """
 
 from __future__ import annotations
@@ -38,6 +43,9 @@ class RespError:
 # every argument of every command.
 _ARRAY_HEADERS = [b"*%d\r\n" % n for n in range(1024)]
 _BULK_HEADERS = [b"$%d\r\n" % n for n in range(512)]
+# The parser's inverse: an element header line of a common size, CRLF
+# included, to its length. A hit is a header already checked whole.
+_BULK_LENGTHS = {header: n for n, header in enumerate(_BULK_HEADERS)}
 
 
 def encode_command(*parts: bytes) -> bytes:
@@ -77,11 +85,9 @@ def encode_array(values: list[bytes | None] | None) -> bytes:
     return b"*%d\r\n" % len(values) + b"".join(encode_bulk(v) for v in values)
 
 
-def _line_fault(line: bytes, at_boundary: bool) -> None:
-    """Handle a line read without its CRLF: None for a clean EOF, else raise."""
+def _line_fault(line: bytes) -> None:
+    """Raise for a reply line read without its CRLF."""
     if not line:
-        if at_boundary:
-            return None
         raise ConnectionLost("connection closed mid-frame")
     if not line.endswith(b"\n"):
         # readline returns a partial line only when the stream ended.
@@ -116,7 +122,7 @@ def read_reply(reader):
     """Parse one reply frame. Errors come back as RespError values."""
     line = reader.readline()
     if not line.endswith(CRLF):
-        _line_fault(line, False)
+        _line_fault(line)
     kind, rest = line[:1], line[1:-2]
     if kind == b"+":
         return rest
@@ -137,41 +143,99 @@ def read_reply(reader):
     raise ProtocolError(f"unknown reply type {(kind + rest)[:16]!r}")
 
 
-def read_command(reader) -> list[bytes] | None:
-    """Parse one inbound command (array of bulk strings).
+def parse_command(buf: bytes, pos: int = 0, eof: bool = False):
+    """Parse one inbound command (an array of bulk strings) from buf at pos.
 
-    Returns None when the peer closed the connection between commands.
+    Returns (parts, end), end being the offset just past the command, or
+    (None, need) when buf ends inside the command: need is the least
+    len(buf) that can hold the rest, so a caller can gather that much
+    before it parses again, and reading up to it never reads past a
+    well-formed command. With eof set, a command cut short raises
+    ConnectionLost instead. Lines are found by their LF, so a bare LF is
+    refused as the line it ends; payloads are sliced by their declared
+    length, so they may hold CRLF.
     """
-    line = reader.readline()
-    if not line.endswith(CRLF):
-        return _line_fault(line, True)  # None for a close between commands
-    line = line[:-2]
+    size = len(buf)
+    nl = buf.find(b"\n", pos)
+    if nl < 0:
+        return _cut("connection closed mid-line", size + 1, eof)
+    if nl == pos or buf[nl - 1] != 13:  # 13 is CR
+        raise ProtocolError(f"line without CRLF terminator: {buf[pos : nl + 1][:64]!r}")
+    line = buf[pos : nl - 1]
     if line[:1] != b"*":
         raise ProtocolError(f"inline commands not accepted: {line[:64]!r}")
     count = _parse_length(line[1:], "array", MAX_ARRAY)
     if count < 1:
         raise ProtocolError("empty command array")
-    # The element loop is spelled out rather than calling _read_bulk: a
-    # flush's variadic command has hundreds of elements, and the bundled
-    # server parses them while holding the interpreter lock.
-    readline = reader.readline
-    read = reader.read
+    # The element loop is spelled out, with the common case's checks
+    # inline: a flush's variadic command has hundreds of elements, and the
+    # bundled server parses them while holding the interpreter lock.
+    find = buf.find
+    lengths = _BULK_LENGTHS
     parts = []
-    for _ in range(count):
-        header = readline()
-        if header[-2:] != CRLF:
-            _line_fault(header, False)
-        if header[:1] != b"$":
-            raise ProtocolError(
-                f"command element is not a bulk string: {header[:-2]!r}"
-            )
-        n = _parse_length(header[1:-2], "bulk", MAX_BULK)
-        if n == -1:
-            raise ProtocolError("nil bulk inside a command")
-        data = read(n + 2)
-        if data is None or len(data) != n + 2:
-            raise ConnectionLost("connection closed mid-bulk")
-        if data[n:] != CRLF:
+    append = parts.append
+    pos = nl + 1
+    for left in range(count, 0, -1):
+        nl = find(b"\n", pos)
+        if nl < 0:
+            # Each element left takes at least 6 bytes: "$0\r\n\r\n".
+            need = max(size + 1, pos + 6 * left)
+            what = "frame" if pos == size else "line"
+            return _cut(f"connection closed mid-{what}", need, eof)
+        n = lengths.get(header := buf[pos : nl + 1])
+        if n is None:
+            n = _bulk_length(header)
+        pos = nl + 1 + n
+        if pos + 2 > size:
+            return _cut("connection closed mid-bulk", pos + 2, eof)
+        if buf[pos] != 13 or buf[pos + 1] != 10:
             raise ProtocolError("bulk payload not CRLF-terminated")
-        parts.append(data[:n])
-    return parts
+        append(buf[nl + 1 : pos])
+        pos += 2
+    return parts, pos
+
+
+def _bulk_length(line: bytes) -> int:
+    """The length in a command element's header line (LF included) that
+    _BULK_LENGTHS does not hold; raises for anything but a bulk header."""
+    if line[-2:] != CRLF:
+        raise ProtocolError(f"line without CRLF terminator: {line[:64]!r}")
+    if line[:1] != b"$":
+        raise ProtocolError(f"command element is not a bulk string: {line[:-2]!r}")
+    n = _parse_length(line[1:-2], "bulk", MAX_BULK)
+    if n == -1:
+        raise ProtocolError("nil bulk inside a command")
+    return n
+
+
+def _cut(message: str, need: int, eof: bool):
+    """parse_command's answer for a command that buf holds only part of."""
+    if eof:
+        raise ConnectionLost(message)
+    return None, need
+
+
+def read_command(reader) -> list[bytes] | None:
+    """Parse one inbound command from a binary file object.
+
+    Returns None when the peer closed the connection between commands.
+    An adapter over parse_command: it reads what parse_command says the
+    command needs at least, or one line when that is a single byte, so it
+    never reads past the command's last byte.
+    """
+    buf = reader.readline()
+    if not buf:
+        return None
+    eof = not buf.endswith(b"\n")
+    while True:
+        parts, need = parse_command(buf, 0, eof)
+        if parts is not None:
+            return parts
+        want = need - len(buf)
+        if want > 1:
+            more = reader.read(want)
+            eof = more is None or len(more) < want
+        else:
+            more = reader.readline()
+            eof = not more.endswith(b"\n")
+        buf += more or b""

@@ -9,6 +9,19 @@ same-key map writes into one such command. One thread per connection;
 every command executes under a single data lock, so individual commands
 are atomic and commands from one pipelined batch apply in order.
 
+Framing works on a buffer, not a file object: each connection recvs up to
+RECV_BYTES at a time, parses every complete command in what it holds with
+protocol.parse_command, dispatches them in order and sends all their
+replies in one sendall. A command cut off by the end of a read is kept
+and completed by later reads; a bulk longer than one read is gathered
+until the length its header declares has arrived, so it is joined once.
+A malformed command is answered with "-ERR Protocol error: ..." after the
+replies to the commands before it in the same read, and the connection
+closes.
+
+Integer arguments and stored counters are parsed as Redis's string2ll
+parses them: no "+", no spaces, no "_", no leading zero, within int64.
+
 Storage is this module's own (deliberately not shared with the in-process
 drivers): a dict of typed values with string-store semantics, including
 counters as ASCII strings, absent-means-zero increments, and dropping a
@@ -31,6 +44,10 @@ _NOT_INT = "ERR value is not an integer or out of range"
 _HASH_NOT_INT = "ERR hash value is not an integer"
 _OVERFLOW = "ERR increment or decrement would overflow"
 
+# Bytes asked of each recv. recv allocates a new object of this size on
+# every call, so a larger figure raises the server's peak memory.
+RECV_BYTES = 64 * 1024
+
 
 class _Reply(Exception):
     """Error reply raised from a handler; carries the wire message."""
@@ -44,13 +61,23 @@ def _arity_error(name: str) -> str:
     return f"ERR wrong number of arguments for '{name.lower()}' command"
 
 
+def _strict_int(raw: bytes) -> int | None:
+    """raw as an int64 if it is spelled as Redis's string2ll accepts: an
+    optional "-", then ASCII digits with no leading zero unless the value
+    is 0 itself. None for anything else: "+", spaces and "_" included."""
+    digits = raw[1:] if raw[:1] == b"-" else raw
+    if not digits.isdigit() or len(digits) > 19 or (digits[0] == 48 and raw != b"0"):
+        return None  # 48 is "0"
+    value = int(digits)
+    if raw[0] == 45:  # 45 is "-"
+        value = -value
+    return value if INT64_MIN <= value <= INT64_MAX else None
+
+
 def _int_arg(raw: bytes) -> int:
     """An integer argument; like Redis, refuses one outside int64."""
-    try:
-        value = int(raw)
-    except ValueError:
-        raise _Reply(_NOT_INT) from None
-    if not INT64_MIN <= value <= INT64_MAX:
+    value = _strict_int(raw)
+    if value is None:
         raise _Reply(_NOT_INT)
     return value
 
@@ -149,29 +176,45 @@ class MiniRespServer:
             self._threads.append(t)
 
     def _serve(self, conn: socket.socket) -> None:
-        reader = conn.makefile("rb")
+        parse = protocol.parse_command
+        dispatch = self._dispatch
+        held: list[bytes] = []  # reads not parsed yet: a cut command's start, then more
+        size = 0  # bytes in held
+        need = 0  # the least size that can complete the cut command
         try:
             while not self._stopping.is_set():
+                data = conn.recv(RECV_BYTES)
+                if not data:
+                    return
+                held.append(data)
+                size += len(data)
+                if size < need:
+                    continue
+                buf = data if len(held) == 1 else b"".join(held)
+                replies = []
+                pos = 0
                 try:
-                    command = protocol.read_command(reader)
+                    while pos < size:
+                        parts, end = parse(buf, pos)
+                        if parts is None:
+                            need = end - pos
+                            break
+                        replies.append(dispatch(parts))
+                        pos = end
                 except ProtocolError as exc:
-                    try:
-                        conn.sendall(protocol.encode_error(f"ERR Protocol error: {exc}"))
-                    except OSError:
-                        pass
+                    replies.append(protocol.encode_error(f"ERR Protocol error: {exc}"))
+                    conn.sendall(b"".join(replies))
                     return
-                except Exception:
-                    return
-                if command is None:
-                    return
-                conn.sendall(self._dispatch(command))
+                if replies:
+                    conn.sendall(b"".join(replies))
+                if pos == size:
+                    held, size, need = [], 0, 0
+                else:
+                    held = [buf[pos:]]
+                    size -= pos
         except OSError:
             pass
         finally:
-            try:
-                reader.close()
-            except OSError:
-                pass
             try:
                 conn.close()
             except OSError:
@@ -227,13 +270,9 @@ class MiniRespServer:
     def _cmd_incrby(self, args: list[bytes]) -> bytes:
         key, delta = args[0], _int_arg(args[1])
         raw = self._typed(key, bytes)
-        if raw is None:
-            current = 0
-        else:
-            try:
-                current = int(raw)
-            except ValueError:
-                raise _Reply(_NOT_INT) from None
+        current = 0 if raw is None else _strict_int(raw)
+        if current is None:
+            raise _Reply(_NOT_INT)
         value = current + delta
         if not INT64_MIN <= value <= INT64_MAX:
             raise _Reply(_OVERFLOW)
@@ -268,13 +307,11 @@ class MiniRespServer:
     def _cmd_hincrby(self, args: list[bytes]) -> bytes:
         key, field, delta = args[0], args[1], _int_arg(args[2])
         h = self._typed(key, dict, True)
-        raw = h.get(field, b"0")
-        try:
-            current = int(raw)
-        except ValueError:
+        current = _strict_int(h.get(field, b"0"))
+        if current is None:
             if not h:
                 del self._db[key]
-            raise _Reply(_HASH_NOT_INT) from None
+            raise _Reply(_HASH_NOT_INT)
         value = current + delta
         if not INT64_MIN <= value <= INT64_MAX:
             if not h:

@@ -9,6 +9,7 @@ import time
 import pytest
 
 import flexstate.cache as cache_mod
+from flexstate.drivers.base import Mutation
 from flexstate.api import StateContext
 from flexstate.cache import CoreCache
 from flexstate.drivers import (
@@ -86,6 +87,72 @@ def test_delete_then_add_folds_to_set():
     cache.flush_now()
     assert flush_kinds(rec)[-1] == ("set_blob", None, 3)
     assert counter.read() == 3
+    cache.drain()
+
+
+def _fill_pending(ctx, kind):
+    """Pending ops on one structure of kind, a reset first: the items that
+    take_pending must yield, each built by Mutation(...)."""
+    if kind == "map":
+        h = ctx.create_map("m")
+        h.insert_nowait(b"old", b"0")
+        h.delete_nowait()
+        for i in range(300):
+            h.insert_nowait(b"f%d" % i, b"v%d" % i)
+        h.remove_nowait(b"f7")
+        h.insert_nowait(b"f3", b"again")
+        want = [Mutation("delete")] + [
+            Mutation("map_set", b"f%d" % i, b"again" if i == 3 else b"v%d" % i)
+            for i in range(300)
+        ]
+        want[8] = Mutation("map_del", b"f7")
+    elif kind == "counter_map":
+        h = ctx.create_counter_map("cm")
+        h.add_to_nowait(b"old", 1)
+        h.delete_nowait()
+        for i in range(300):
+            h.add_to_nowait(b"f%d" % i, i)
+        h.add_to_nowait(b"f5", 2)
+        h.insert_nowait(b"f9", 99)
+        h.remove_nowait(b"f11")
+        want = [Mutation("delete")] + [
+            Mutation("map_incr", b"f%d" % i, i) for i in range(300)
+        ]
+        want[6] = Mutation("map_incr", b"f5", 7)
+        want[10] = Mutation("map_set", b"f9", 99)
+        want[12] = Mutation("map_del", b"f11")
+    elif kind == "set":
+        h = ctx.create_set("s")
+        for i in range(300):
+            h.insert_nowait(b"m%d" % i)
+        h.remove_nowait(b"m4")
+        want = [Mutation("set_add", None, b"m%d" % i) for i in range(300)]
+        want[4] = Mutation("set_del", None, b"m4")
+    else:
+        h = ctx.create_list("l")
+        h.push_back_nowait(b"old")
+        h.clear_nowait()
+        for i in range(300):
+            h.push_back_nowait(b"x%d" % (i % 7))
+        want = [Mutation("list_clear")] + [
+            Mutation("list_append", None, b"x%d" % (i % 7)) for i in range(300)
+        ]
+    return h, want
+
+
+@pytest.mark.parametrize("kind", ["map", "counter_map", "set", "list"])
+def test_take_pending_items_are_plain_mutations_in_pending_order(kind):
+    cache = make_cache()
+    ctx = StateContext(cache)
+    h, want = _fill_pending(ctx, kind)
+    batch, swap_id = cache.take_pending()
+    assert swap_id is not None
+    assert [key for key, _m in batch.items] == [h.key] * len(want)
+    got = [m for _key, m in batch.items]
+    assert all(type(m) is Mutation for m in got)
+    assert got == want
+    assert [tuple(m) for m in got] == [tuple(m) for m in want]
+    assert cache.pending_mutations == 0
     cache.drain()
 
 

@@ -64,6 +64,23 @@ def test_counter_nf_output_is_a_plain_packet(nf_cls):
     cache.drain()
 
 
+def test_nat_output_is_a_plain_packet_on_miss_and_hit():
+    ctx, cache = make_ctx(make_driver("flatkvs"))
+    nat = NatNF(pool_size=10)
+    nat.setup(ctx)
+    pkt = flow_packet(1)._replace(size=1500, meta="tag")
+    ext_ip, ext_port = pool_entry(0)
+    want = Packet(ext_ip, pkt.dst_ip, ext_port, pkt.dst_port, pkt.proto, 1500)
+    for _ in range(2):  # the first call misses and binds, the second hits
+        out = nat.handle(pkt, ctx)
+        assert type(out) is Packet
+        assert out == want
+        assert out.meta is None
+    assert nat.bindings.get(_FLOW.pack(*pkt[:5])) == struct.pack("!IH", ext_ip, ext_port)
+    assert nat.summary()["allocated"] == 1
+    cache.drain()
+
+
 def test_pool_entry_frozen():
     assert pool_entry(0) == (EXTERNAL_BASE, 0)
     assert pool_entry(65535) == (EXTERNAL_BASE, 65535)

@@ -276,3 +276,158 @@ def test_error_replies_byte_identical(mini_server):
             assert sock.recv(256) == reply
     finally:
         sock.close()
+
+
+_NOT_INT = "ERR value is not an integer or out of range"
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        (b"INCRBY", b"c", b"1_0"),
+        (b"INCRBY", b"c", b" 7 "),
+        (b"HINCRBY", b"h", b"f", b"+0_1"),
+        (b"LRANGE", b"l", b"0", b"1_0"),
+        (b"INCRBY", b"c", b"+5"),
+        (b"INCRBY", b"c", b"05"),
+        (b"INCRBY", b"c", b"-0"),
+        (b"INCRBY", b"c", b""),
+        (b"INCRBY", b"c", b"-"),
+        (b"INCRBY", b"c", b"5\n"),
+        (b"HINCRBY", b"h", b"f", "١".encode()),  # a non-ASCII digit
+    ],
+    ids=lambda command: repr(b" ".join(command))[2:-1],
+)
+def test_integer_arguments_redis_refuses_are_refused(client, command):
+    # Redis parses these with string2ll: an optional "-", then ASCII
+    # digits with no leading zero, within int64; nothing else.
+    client.call(b"SET", b"c", b"10")
+    client.call(b"HSET", b"h", b"f", b"1")
+    client.call(b"RPUSH", b"l", b"x", b"y")
+    reply = client.call(*command)
+    assert isinstance(reply, RespError)
+    assert reply.message == _NOT_INT
+    assert client.call(b"GET", b"c") == b"10"
+    assert client.call(b"HGET", b"h", b"f") == b"1"
+
+
+def test_stored_value_redis_refuses_is_not_a_counter(client):
+    assert client.call(b"SET", b"c", b"1_0") == b"OK"
+    reply = client.call(b"INCRBY", b"c", b"1")
+    assert isinstance(reply, RespError)
+    assert reply.message == _NOT_INT
+    assert client.call(b"GET", b"c") == b"1_0"
+    client.call(b"HSET", b"h", b"f", b"+5")
+    reply = client.call(b"HINCRBY", b"h", b"f", b"1")
+    assert isinstance(reply, RespError)
+    assert reply.message == "ERR hash value is not an integer"
+    assert client.call(b"HGET", b"h", b"f") == b"+5"
+
+
+def test_integer_spellings_redis_accepts(client):
+    assert client.call(b"INCRBY", b"c", b"0") == 0
+    assert client.call(b"INCRBY", b"c", b"-9223372036854775808") == -(2**63)
+    assert client.call(b"INCRBY", b"c", b"9223372036854775807") == -1
+    client.call(b"SET", b"z", b"-12")
+    assert client.call(b"INCRBY", b"z", b"10") == -2
+    client.call(b"HSET", b"h", b"f", b"0")
+    assert client.call(b"HINCRBY", b"h", b"f", b"-3") == -3
+    client.call(b"RPUSH", b"l", b"a", b"b", b"c")
+    assert client.call(b"LRANGE", b"l", b"-2", b"10") == [b"b", b"c"]
+
+
+def _framing_stream():
+    """One pipelined stream, as its commands' wire bytes and their replies:
+    a 256-pair HSET whose binary fields hold CRLF, among INCRBYs."""
+    fields = [b"\r\n%d\x00\r" % i for i in range(256)]
+    hset = [b"HSET", b"h"]
+    for i, f in enumerate(fields):
+        hset += [f, b"v\r\n%d" % i]
+    commands = [(b"FLUSHALL",)]
+    commands += [(b"INCRBY", b"c", b"%d" % i) for i in range(1, 4)]
+    commands += [tuple(hset)]
+    commands += [(b"INCRBY", b"c", b"%d" % i) for i in range(4, 7)]
+    commands += [(b"HGET", b"h", fields[200])]
+    replies = [b"+OK\r\n", b":1\r\n", b":3\r\n", b":6\r\n", b":256\r\n"]
+    replies += [b":10\r\n", b":15\r\n", b":21\r\n", b"$6\r\nv\r\n200\r\n"]
+    return [encode_command(*c) for c in commands], replies
+
+
+def _recv_exactly(sock, n):
+    data = b""
+    while len(data) < n:
+        more = sock.recv(n - len(data))
+        assert more, "connection closed early"
+        data += more
+    return data
+
+
+def test_pipelined_stream_split_at_every_offset(mini_server):
+    wire, replies = _framing_stream()
+    stream = b"".join(wire)
+    want = b"".join(replies)
+    ends = [len(b"".join(wire[: i + 1])) for i in range(len(wire))]
+    sock = socket.create_connection(("127.0.0.1", mini_server.port), timeout=5)
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    try:
+        sock.sendall(stream)
+        assert _recv_exactly(sock, len(want)) == want
+        for cut in range(1, len(stream)):
+            sock.sendall(stream[:cut])
+            # Take the replies to the commands the first piece completes
+            # before the rest goes, so the server has read up to them.
+            done = sum(1 for end in ends if end <= cut)
+            head = _recv_exactly(sock, len(b"".join(replies[:done])))
+            sock.sendall(stream[cut:])
+            assert head + _recv_exactly(sock, len(want) - len(head)) == want
+    finally:
+        sock.close()
+
+
+def test_protocol_error_after_valid_commands_in_one_send(mini_server):
+    sock = socket.create_connection(("127.0.0.1", mini_server.port), timeout=5)
+    try:
+        sock.sendall(
+            encode_command(b"SET", b"a", b"1")
+            + encode_command(b"INCRBY", b"c", b"2")
+            + b"PING\r\n"
+        )
+        want = (
+            b"+OK\r\n:2\r\n"
+            b"-ERR Protocol error: inline commands not accepted: b'PING'\r\n"
+        )
+        assert _recv_exactly(sock, len(want)) == want
+        assert sock.recv(64) == b""  # then the server closes
+    finally:
+        sock.close()
+    c = Client(mini_server.port)
+    assert c.call(b"GET", b"a") == b"1"  # the commands before it applied
+    c.close()
+
+
+def test_multi_mib_value_round_trip(client):
+    value = bytes(range(256)) * (5 * 4096) + b"\r\n"  # 5 MiB and a CRLF
+    assert client.call(b"SET", b"big", value) == b"OK"
+    assert client.call(b"GET", b"big") == value
+    assert client.call(b"HSET", b"h", b"f", value, b"g", b"1") == 2
+    assert client.call(b"HGET", b"h", b"f") == value
+
+
+def test_drop_connections_ends_every_serving_thread(mini_server):
+    clients = [Client(mini_server.port) for _ in range(3)]
+    for c in clients:
+        assert c.call(b"PING") == b"PONG"
+    # One connection holds a cut command, one a cut bulk payload.
+    clients[1].sock.sendall(b"*2\r\n$3\r\nGET\r\n")
+    clients[2].sock.sendall(b"*2\r\n$3\r\nGET\r\n$100\r\nabc")
+    serving = mini_server._threads[1:]  # the first is the acceptor
+    assert len(serving) == 3
+    mini_server.drop_connections()
+    for t in serving:
+        t.join(timeout=5)
+        assert not t.is_alive()
+    for c in clients:
+        c.close()
+    c = Client(mini_server.port)
+    assert c.call(b"PING") == b"PONG"
+    c.close()

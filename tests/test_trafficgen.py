@@ -3,6 +3,7 @@
 import pytest
 
 from flexstate.errors import FlowFileError
+from flexstate.runtime import Packet
 from flexstate.trafficgen import (
     FLOWFILE_HEADER,
     TrafficSpec,
@@ -29,6 +30,16 @@ def test_flows_distinct_and_in_range():
         assert 1024 <= sport <= 65535
         assert 1024 <= dport <= 65535
         assert proto in (6, 17)
+
+
+def test_replay_packets_equal_namedtuple_built_ones():
+    flows = generate_flows(50, seed=3)
+    packets = list(replay(flows, packet_size=256, budget=50))
+    for flow, pkt in zip(flows, packets):
+        assert type(pkt) is Packet
+        assert pkt == Packet(*flow, 256)
+        assert pkt.size == 256
+        assert pkt.meta is None
 
 
 def test_replay_budget_exact():
