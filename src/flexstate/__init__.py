@@ -22,7 +22,7 @@ from .config import FlexConfig, load_config, parse_config
 from .errors import StateError
 from .keys import StoreKey, StructureType, build_key, parse_key
 from .runtime import Packet, RunReport, WorkerPool, make_packet, rss_hash
-from .trafficgen import TrafficSpec, generate_flows, replay
+from .trafficgen import generate_flows, replay
 
 __version__ = "0.1.0"
 
@@ -49,7 +49,6 @@ __all__ = [
     "rss_hash",
     "WorkerPool",
     "RunReport",
-    "TrafficSpec",
     "generate_flows",
     "replay",
     "drivers",

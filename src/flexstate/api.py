@@ -38,36 +38,24 @@ from .limits import (
 # increments (Counter add, CounterMap add_to) check their int in the fold.
 
 
-def _check_blob(value: bytes) -> bytes:
-    if type(value) is bytes and len(value) <= MAX_BLOB_BYTES:
-        return value
-    if not isinstance(value, (bytes, bytearray)):
-        raise TypeError(f"value must be bytes, not {type(value).__name__}")
-    if len(value) > MAX_BLOB_BYTES:
-        raise ValueTooLarge(f"blob of {len(value)} bytes exceeds {MAX_BLOB_BYTES}")
-    return bytes(value)
+def _bytes_check(limit: int, too_large: type, what: str, argument: str = "value"):
+    """The one-argument check of a bytes argument of at most limit bytes."""
+
+    def check(value: bytes) -> bytes:
+        if type(value) is bytes and len(value) <= limit:
+            return value
+        if not isinstance(value, (bytes, bytearray)):
+            raise TypeError(f"{argument} must be bytes, not {type(value).__name__}")
+        if len(value) > limit:
+            raise too_large(f"{what} of {len(value)} bytes exceeds {limit}")
+        return bytes(value)
+
+    return check
 
 
-def _check_element(value: bytes) -> bytes:
-    if type(value) is bytes and len(value) <= MAX_ELEMENT_BYTES:
-        return value
-    if not isinstance(value, (bytes, bytearray)):
-        raise TypeError(f"value must be bytes, not {type(value).__name__}")
-    if len(value) > MAX_ELEMENT_BYTES:
-        raise ValueTooLarge(
-            f"element of {len(value)} bytes exceeds {MAX_ELEMENT_BYTES}"
-        )
-    return bytes(value)
-
-
-def _check_map_key(key: bytes) -> bytes:
-    if type(key) is bytes and len(key) <= MAX_MAP_KEY_BYTES:
-        return key
-    if not isinstance(key, (bytes, bytearray)):
-        raise TypeError(f"map key must be bytes, not {type(key).__name__}")
-    if len(key) > MAX_MAP_KEY_BYTES:
-        raise KeyTooLarge(f"map key of {len(key)} bytes exceeds {MAX_MAP_KEY_BYTES}")
-    return bytes(key)
+_check_blob = _bytes_check(MAX_BLOB_BYTES, ValueTooLarge, "blob")
+_check_element = _bytes_check(MAX_ELEMENT_BYTES, ValueTooLarge, "element")
+_check_map_key = _bytes_check(MAX_MAP_KEY_BYTES, KeyTooLarge, "map key", "map key")
 
 
 class _Handle:

@@ -56,6 +56,12 @@ class BenchScenario:
 
     def normalized(self) -> "BenchScenario":
         out = self
+        if out.budget is not None and out.budget < 1:
+            raise ValueError("budget must be positive")
+        if out.duration_s is not None and not out.duration_s > 0:
+            raise ValueError("duration_s must be positive")
+        if out.budget is not None and out.duration_s is not None:
+            raise ValueError("set budget or duration_s, not both")
         if out.budget is None and out.duration_s is None:
             out = replace(out, duration_s=DEFAULT_DURATION_S)
         if out.cores < 1:

@@ -252,7 +252,7 @@ class _ListState:
             return 0
         key = self.key
         if self.reset:
-            batch.add(key, Mutation("list_clear"))
+            batch.add(key, Mutation("delete"))
             self.reset = False
         batch.items += [
             (key, _new(Mutation, ("list_append", None, value))) for value in self.appends
@@ -348,11 +348,12 @@ class CoreCache:
         self._lock = threading.Lock()
         self._cond = threading.Condition(self._lock)
 
-        # Flush bookkeeping, guarded by _lock.
+        # Flush bookkeeping, guarded by _lock. Swap ids only grow, and
+        # _inflight_swap holds the flusher's batch's id until it settles,
+        # retained or not.
         self._flusher_parked = False
         self._swap_counter = 0
         self._inflight_swap: int | None = None
-        self._acked_swap = 0
         self._retained_len = 0
 
         self.worker_session = driver.connect(inject_latency_us=inject_latency_us)
@@ -435,7 +436,7 @@ class CoreCache:
         deadline = time.monotonic() + SYNC_TIMEOUT_S
         if barrier is not None:
             with self._cond:
-                while self._acked_swap < barrier:
+                while self._inflight_swap == barrier:
                     remaining = deadline - time.monotonic()
                     if remaining <= 0:
                         raise StoreUnavailable(
@@ -469,14 +470,12 @@ class CoreCache:
             self._inflight_swap = self._swap_counter
             return batch, self._swap_counter
 
-    def note_flush_outcome(self, swap_id: int, ok: bool, retained_len: int) -> None:
+    def note_flush_outcome(self, retained_len: int) -> None:
+        """The in-flight batch is retained (its length), or settled (0)."""
         with self._cond:
-            if ok:
-                self._acked_swap = swap_id
+            if not retained_len:
                 self._inflight_swap = None
-                self._retained_len = 0
-            else:
-                self._retained_len = retained_len
+            self._retained_len = retained_len
             self._cond.notify_all()
 
     @property
@@ -565,7 +564,6 @@ class Flusher:
         self.cache = cache
         self.interval_s = interval_us / 1_000_000
         self.retained_batch: MutationBatch | None = None
-        self._retained_swap: int | None = None
         self._backoff = RETRY_BASE_S
         self._stop = threading.Event()
         self._tick_lock = threading.Lock()
@@ -650,14 +648,14 @@ class Flusher:
         batch it hit retained and propagates ConnectionLost.
         """
         if self.retained_batch is not None:
-            self._push(self.retained_batch, self._retained_swap, draining)
-        batch, swap_id = self.cache.take_pending()
+            self._push(self.retained_batch, draining)
+        batch = self.cache.take_pending()[0]
         if not batch:
             return False
-        self._push(batch, swap_id, draining)
+        self._push(batch, draining)
         return True
 
-    def _push(self, batch: MutationBatch, swap_id: int, draining: bool) -> None:
+    def _push(self, batch: MutationBatch, draining: bool) -> None:
         """Apply batch on the flusher session and settle its swap.
 
         Landed batches count as drain_mutations when draining, else as a
@@ -672,8 +670,8 @@ class Flusher:
         except ConnectionLost as exc:
             stats.retries += 1
             stats.last_error = str(exc)
-            self.retained_batch, self._retained_swap = batch, swap_id
-            cache.note_flush_outcome(swap_id, False, len(batch))
+            self.retained_batch = batch
+            cache.note_flush_outcome(len(batch))
             raise
         except StateError as exc:
             # The store refused the batch; a retry would only fail again.
@@ -686,5 +684,5 @@ class Flusher:
             else:
                 stats.flushes_succeeded += 1
                 stats.mutations_flushed += len(batch)
-        self.retained_batch = self._retained_swap = None
-        cache.note_flush_outcome(swap_id, True, 0)
+        self.retained_batch = None
+        cache.note_flush_outcome(0)

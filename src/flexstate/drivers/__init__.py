@@ -15,7 +15,6 @@ from .base import (
     delete,
     incr,
     list_append,
-    list_clear,
     map_del,
     map_incr,
     map_set,
@@ -73,7 +72,6 @@ __all__ = [
     "map_del",
     "map_incr",
     "list_append",
-    "list_clear",
     "set_add",
     "set_del",
 ]

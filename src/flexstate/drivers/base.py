@@ -4,16 +4,16 @@ A driver translates store-agnostic mutations into the command set of one
 backing store. The cache layer and the network functions above it never see
 anything store-specific; swapping stores is a config edit.
 
-Mutation kinds and their payloads:
+The nine mutation kinds and their payloads; a driver refuses any other
+kind with a StateError:
 
     set_blob(value)        whole-value write (bytes; an int for a Counter)
-    delete()               drop the structure
+    delete()               drop the structure, whatever its type
     incr(n)                add n to a counter (absent counts as 0)
     map_set(field, value)  write one map entry (CounterMap values are ints)
     map_del(field)         drop one map entry
     map_incr(field, n)     add n to one CounterMap entry (absent counts as 0)
     list_append(value)     append one element
-    list_clear()           drop all elements
     set_add(value)         add one member
     set_del(value)         drop one member
 
@@ -102,10 +102,6 @@ def map_incr(field: bytes, n: int) -> Mutation:
 
 def list_append(value: bytes) -> Mutation:
     return Mutation("list_append", None, value)
-
-
-def list_clear() -> Mutation:
-    return Mutation("list_clear")
 
 
 def set_add(value: bytes) -> Mutation:
@@ -199,11 +195,8 @@ class Driver:
         return DriverSession(self, session_id, inject_latency_us)
 
     def apply(self, session: DriverSession, batch: MutationBatch) -> None:
-        # _check_open and _pause inlined: this runs once per waiting call.
-        if session.closed:
-            raise ConnectionLost("session is closed")
-        if session.inject_latency_s:
-            time.sleep(session.inject_latency_s)
+        self._check_open(session)
+        self._pause(session)
         if batch.seq == UNSET_SEQ:
             batch.seq = session.next_seq()
         self._apply(session, batch)

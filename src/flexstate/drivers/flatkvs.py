@@ -7,8 +7,8 @@ hashes (CounterMap values ASCII-decimal bytes too), sets and lists are
 native. Mutations carry counter values as ints: _ascii renders them on
 the way in, as_int parses them on the way out. Deleting the last entry
 of a collection deletes the key. A write that finds the key holding
-another shape raises TypeConflict, except set_blob, delete and
-list_clear, which replace or drop whatever is there.
+another shape raises TypeConflict, except set_blob and delete, which
+replace or drop whatever is there.
 
 Locking, exactly-once batches, batch validation, fetch and scan come from
 LocalDriver (see drivers/base.py).
@@ -83,7 +83,7 @@ class FlatKvsDriver(LocalDriver):
                     del self._data[name]
         elif kind == "set_blob":
             self._data[name] = _ascii(m.value)
-        elif kind == "delete" or kind == "list_clear":
+        elif kind == "delete":
             self._data.pop(name, None)
         elif kind == "list_append":
             self._typed(name, list, True).append(m.value)

@@ -14,9 +14,10 @@ mutations:
     set_add  -> SADD key m1 m2 ...
     set_del  -> SREM key m1 m2 ...
 
-Every other kind (incr, map_incr, list_append, set_blob, delete,
-list_clear) is a run of one: the counting kinds are not idempotent and the
-rest have no variadic form worth grouping.
+Every other kind (incr, map_incr, list_append, set_blob, delete) is a run
+of one: the counting kinds are not idempotent and the rest have no
+variadic form worth grouping. A kind that _COMMANDS does not name is
+refused with ProtocolError before any command of its batch is sent.
 
 Every reply read advances a per-batch acknowledgement count. When the
 connection dies mid-batch the session remembers how many commands were
@@ -77,7 +78,6 @@ _COMMANDS = {
     "map_del": b"HDEL",
     "map_incr": b"HINCRBY",
     "list_append": b"RPUSH",
-    "list_clear": b"DEL",
     "set_add": b"SADD",
     "set_del": b"SREM",
 }

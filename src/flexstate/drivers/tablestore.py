@@ -71,7 +71,7 @@ class TableStoreDriver(LocalDriver):
                 rows[len(rows)] = m.value
             else:
                 rows[m.value] = b""
-        elif kind in ("delete", "list_clear", "map_del", "set_del"):
+        elif kind in ("delete", "map_del", "set_del"):
             table = self._table(key)
             if table is None or key1 not in table:
                 return

@@ -10,13 +10,13 @@ back as one of five frames, distinguished by their first byte:
     *<count>\r\n<frames...>   (*-1 is the nil array)
 
 Parsing is strict: CRLF line endings, exact declared lengths, no inline
-commands. Anything else raises ProtocolError. EOF in the middle of a frame
-raises ConnectionLost; EOF on a frame boundary is a clean close.
+commands. Anything else raises ProtocolError.
 
 Commands have one parser, parse_command, which works on a bytes buffer
-(the bundled server's framing); read_command reads one command from a
-file object through it. Replies are read from a file object by
-read_reply.
+(the bundled server's framing) and reports a command the buffer holds
+only part of as the least length that can hold it. Replies are read from
+a file object by read_reply, where EOF in the middle of a frame raises
+ConnectionLost.
 """
 
 from __future__ import annotations
@@ -143,22 +143,21 @@ def read_reply(reader):
     raise ProtocolError(f"unknown reply type {(kind + rest)[:16]!r}")
 
 
-def parse_command(buf: bytes, pos: int = 0, eof: bool = False):
+def parse_command(buf: bytes, pos: int = 0):
     """Parse one inbound command (an array of bulk strings) from buf at pos.
 
     Returns (parts, end), end being the offset just past the command, or
     (None, need) when buf ends inside the command: need is the least
     len(buf) that can hold the rest, so a caller can gather that much
     before it parses again, and reading up to it never reads past a
-    well-formed command. With eof set, a command cut short raises
-    ConnectionLost instead. Lines are found by their LF, so a bare LF is
+    well-formed command. Lines are found by their LF, so a bare LF is
     refused as the line it ends; payloads are sliced by their declared
     length, so they may hold CRLF.
     """
     size = len(buf)
     nl = buf.find(b"\n", pos)
     if nl < 0:
-        return _cut("connection closed mid-line", size + 1, eof)
+        return None, size + 1
     if nl == pos or buf[nl - 1] != 13:  # 13 is CR
         raise ProtocolError(f"line without CRLF terminator: {buf[pos : nl + 1][:64]!r}")
     line = buf[pos : nl - 1]
@@ -179,15 +178,13 @@ def parse_command(buf: bytes, pos: int = 0, eof: bool = False):
         nl = find(b"\n", pos)
         if nl < 0:
             # Each element left takes at least 6 bytes: "$0\r\n\r\n".
-            need = max(size + 1, pos + 6 * left)
-            what = "frame" if pos == size else "line"
-            return _cut(f"connection closed mid-{what}", need, eof)
+            return None, max(size + 1, pos + 6 * left)
         n = lengths.get(header := buf[pos : nl + 1])
         if n is None:
             n = _bulk_length(header)
         pos = nl + 1 + n
         if pos + 2 > size:
-            return _cut("connection closed mid-bulk", pos + 2, eof)
+            return None, pos + 2
         if buf[pos] != 13 or buf[pos + 1] != 10:
             raise ProtocolError("bulk payload not CRLF-terminated")
         append(buf[nl + 1 : pos])
@@ -207,35 +204,3 @@ def _bulk_length(line: bytes) -> int:
         raise ProtocolError("nil bulk inside a command")
     return n
 
-
-def _cut(message: str, need: int, eof: bool):
-    """parse_command's answer for a command that buf holds only part of."""
-    if eof:
-        raise ConnectionLost(message)
-    return None, need
-
-
-def read_command(reader) -> list[bytes] | None:
-    """Parse one inbound command from a binary file object.
-
-    Returns None when the peer closed the connection between commands.
-    An adapter over parse_command: it reads what parse_command says the
-    command needs at least, or one line when that is a single byte, so it
-    never reads past the command's last byte.
-    """
-    buf = reader.readline()
-    if not buf:
-        return None
-    eof = not buf.endswith(b"\n")
-    while True:
-        parts, need = parse_command(buf, 0, eof)
-        if parts is not None:
-            return parts
-        want = need - len(buf)
-        if want > 1:
-            more = reader.read(want)
-            eof = more is None or len(more) < want
-        else:
-            more = reader.readline()
-            eof = not more.endswith(b"\n")
-        buf += more or b""

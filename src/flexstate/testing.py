@@ -56,8 +56,6 @@ class ModelStore:
             entries[m.field] = value
         elif kind == "list_append":
             data.setdefault(name, []).append(m.value)
-        elif kind == "list_clear":
-            data.pop(name, None)
         elif kind == "set_add":
             data.setdefault(name, set()).add(m.value)
         elif kind == "set_del":
@@ -212,8 +210,6 @@ def random_mutation(rng: random.Random, key: StoreKey) -> Mutation:
     if stype is StructureType.LIST:
         if roll < 0.90:
             return Mutation("list_append", None, rng.randbytes(rng.randint(0, 12)))
-        if roll < 0.97:
-            return Mutation("list_clear")
         return Mutation("delete")
     if roll < 0.70:
         return Mutation("set_add", None, rng.choice(_MEMBER_POOL))

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 
 from .errors import FlowFileError
 from .runtime import DEFAULT_PACKET_SIZE, MIN_PACKET_SIZE, Packet
@@ -27,35 +26,6 @@ FLOWFILE_HEADER = "flexstate-flows v1"
 
 _SRC_BASE = 0xC6120000  # 198.18.0.0
 _DST_BASE = 0xC6130000  # 198.19.0.0
-
-
-@dataclass(frozen=True)
-class TrafficSpec:
-    n_flows: int = 50000
-    packet_size: int = DEFAULT_PACKET_SIZE
-    seed: int = 0
-    budget: int | None = None
-    duration_s: float | None = None
-
-    def __post_init__(self):
-        if self.n_flows < 1:
-            raise ValueError("n_flows must be at least 1")
-        if self.packet_size < MIN_PACKET_SIZE:
-            raise ValueError(f"packet_size below minimum {MIN_PACKET_SIZE}")
-        if self.budget is not None and self.budget < 1:
-            raise ValueError("budget must be positive")
-        if self.duration_s is not None and self.duration_s <= 0:
-            raise ValueError("duration_s must be positive")
-        if self.budget is not None and self.duration_s is not None:
-            raise ValueError("set budget or duration_s, not both")
-
-    def flows(self) -> list[tuple]:
-        return generate_flows(self.n_flows, self.seed)
-
-    def packets(self, flows: list[tuple] | None = None):
-        if flows is None:
-            flows = self.flows()
-        return replay(flows, packet_size=self.packet_size, budget=self.budget)
 
 
 def generate_flows(n_flows: int, seed: int) -> list[tuple]:

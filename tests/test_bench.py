@@ -50,6 +50,12 @@ def test_normalized_rejects_bad_counts(bad):
         tiny(**bad).normalized()
 
 
+def test_normalized_rejects_nan_duration():
+    # NaN passes a "<= 0" test, and a NaN deadline is never reached.
+    with pytest.raises(ValueError, match="duration_s must be positive"):
+        tiny(budget=None, duration_s=float("nan")).normalized()
+
+
 def test_normalized_rejects_unknown_nf():
     with pytest.raises(KeyError):
         tiny(nf="firewall").normalized()
@@ -253,6 +259,24 @@ def test_cli_run_text_output(capsys):
     captured = capsys.readouterr()
     assert "counter-async/flatkvs@local/c2" in captured.out
     assert "PASS" in captured.out
+
+
+@pytest.mark.parametrize(
+    "limits, message",
+    [
+        (["--budget", "0"], "budget must be positive"),
+        (["--budget", "-5"], "budget must be positive"),
+        (["--duration-s", "0"], "duration_s must be positive"),
+        (["--duration-s", "-1"], "duration_s must be positive"),
+        (["--budget", "1000", "--duration-s", "0.5"], "set budget or duration_s, not both"),
+    ],
+)
+def test_cli_run_refuses_bad_traffic_limits(limits, message, capsys):
+    code = main(["run", "--nf", "counter-async", "--flows", "100", "--reps", "1", *limits])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"flexbench: {message}\n"
 
 
 def test_cli_run_json_to_file(tmp_path, capsys):

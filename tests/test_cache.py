@@ -17,7 +17,6 @@ from flexstate.drivers import (
     delete,
     incr,
     list_append,
-    list_clear,
     make_driver,
     map_del,
     map_incr,
@@ -134,7 +133,7 @@ def _fill_pending(ctx, kind):
         h.clear_nowait()
         for i in range(300):
             h.push_back_nowait(b"x%d" % (i % 7))
-        want = [Mutation("list_clear")] + [
+        want = [Mutation("delete")] + [
             Mutation("list_append", None, b"x%d" % (i % 7)) for i in range(300)
         ]
     return h, want
@@ -287,7 +286,7 @@ def test_list_clear_resets_pending_appends():
     lst.push_back_nowait(b"kept")
     cache.flush_now()
     tail = flush_kinds(rec)[1:]
-    assert tail == [("list_clear", None, None), ("list_append", None, b"kept")]
+    assert tail == [("delete", None, None), ("list_append", None, b"kept")]
     assert lst.read_all() == [b"kept"]
     cache.drain()
 
@@ -587,7 +586,7 @@ def test_dump_rows_of_every_mutation_kind():
             (key[StructureType.COUNTER_MAP], map_set(b"f", 7)),
             (key[StructureType.COUNTER_MAP], map_incr(b"f", -2)),
             (key[StructureType.LIST], list_append(b"a")),
-            (key[StructureType.LIST], list_clear()),
+            (key[StructureType.LIST], delete()),
             (key[StructureType.SET], set_add(b"m")),
             (key[StructureType.SET], set_del(b"m")),
         ]
@@ -611,7 +610,7 @@ def test_dump_rows_of_every_mutation_kind():
         ("nf1@ins1@0@Countermap@s", "map_set", f, 7),
         ("nf1@ins1@0@Countermap@s", "map_incr", f, -2),
         ("nf1@ins1@0@List@s", "list_append", None, {"b64": "YQ=="}),
-        ("nf1@ins1@0@List@s", "list_clear", None, None),
+        ("nf1@ins1@0@List@s", "delete", None, None),
         ("nf1@ins1@0@Set@s", "set_add", None, {"b64": "bQ=="}),
         ("nf1@ins1@0@Set@s", "set_del", None, {"b64": "bQ=="}),
     ]
@@ -870,14 +869,23 @@ def test_owner_mutations_and_flusher_exclude_each_other(label, seed, monkeypatch
     # the owner runs in the middle of swaps: only the cache lock keeps a
     # fold from landing between a structure's collect and its reset, which
     # would lose or double it, or from resizing a pending dict that
-    # collect is walking.
+    # collect is walking. Counters, name-values and resets are collected
+    # through MutationBatch.add; the collections build theirs with _new.
     add = MutationBatch.add
+    new = cache_mod._new
+    built = set()
 
     def yielding_add(batch, key, mutation):
         add(batch, key, mutation)
         time.sleep(0)
 
+    def yielding_new(cls, fields):
+        time.sleep(0)
+        built.add(fields[0])
+        return new(cls, fields)
+
     monkeypatch.setattr(MutationBatch, "add", yielding_add)
+    monkeypatch.setattr(cache_mod, "_new", yielding_new)
     driver = make_driver(label)
     cache = CoreCache("nf1", "ins1", 0, driver, flush_interval_us=100)
     ctx = StateContext(cache)
@@ -896,11 +904,13 @@ def test_owner_mutations_and_flusher_exclude_each_other(label, seed, monkeypatch
     thread.join(timeout=60)
     assert not thread.is_alive()
     flusher_alive = cache.flusher._thread.is_alive()
+    built_by_flusher = set(built)
     stats = cache.drain()
     assert not errors
     assert flusher_alive
     assert stats.dead_letters == 0
     assert stats.flushes_succeeded >= 2  # the flusher ran alongside the owner
+    assert {"map_set", "map_incr", "set_add", "list_append"} <= built_by_flusher
     counter, m, cm, lst, s = handles
     with driver.connect() as probe:
         assert probe.fetch(counter.key) == (counter.read() if counter.exists() else None)

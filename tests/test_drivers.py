@@ -16,7 +16,6 @@ from flexstate.drivers import (
     incr,
     known_labels,
     list_append,
-    list_clear,
     make_driver,
     map_del,
     map_incr,
@@ -26,13 +25,14 @@ from flexstate.drivers import (
     set_del,
 )
 from flexstate.config import FlexConfig
-from flexstate.drivers.base import UNSET_SEQ
+from flexstate.drivers.base import UNSET_SEQ, Mutation
 import flexstate.drivers.resp as resp_mod
 from flexstate.drivers.resp import _GROUP_MAX, _encode_batch
 from flexstate.errors import (
     ConfigSyntaxError,
     ConnectionLost,
     Overflow,
+    StateError,
     TypeConflict,
     UnknownDriver,
 )
@@ -103,7 +103,7 @@ def test_emptied_collections_read_none(driver):
             [
                 (K_MAP, map_del(b"k")),
                 (K_CMAP, map_del(b"f")),
-                (K_LIST, list_clear()),
+                (K_LIST, delete()),
                 (K_SET, set_del(b"m")),
                 (K_NV, delete()),
                 (K_COUNTER, delete()),
@@ -128,8 +128,25 @@ def test_map_set_overwrites(driver):
 def test_list_clear_then_append(driver):
     with driver.connect() as s:
         apply_items(s, [(K_LIST, list_append(b"old"))])
-        apply_items(s, [(K_LIST, list_clear()), (K_LIST, list_append(b"new"))])
+        apply_items(s, [(K_LIST, delete()), (K_LIST, list_append(b"new"))])
         assert s.fetch(K_LIST) == [b"new"]
+
+
+@pytest.mark.parametrize("kind", ["list_clear", "bogus"])
+def test_unknown_mutation_kind_refused(driver, kind):
+    with driver.connect() as s, pytest.raises(StateError):
+        apply_items(s, [(K_LIST, Mutation(kind))])
+    with pytest.raises(StateError):
+        ModelStore().apply_mutation(K_LIST, Mutation(kind))
+
+
+@pytest.mark.parametrize("kind", ["list_clear", "bogus"])
+def test_resp_refuses_unknown_kind_before_sending(mini_server, kind):
+    driver = make_driver("resp", mini_server.endpoint)
+    with driver.connect() as s, pytest.raises(StateError):
+        apply_items(s, [(K_NV, set_blob(b"v")), (K_LIST, Mutation(kind))])
+    driver.close()
+    assert mini_server._db == {}  # not even the valid mutation before it
 
 
 def test_scan_prefix_sorted_and_scoped(driver):
@@ -404,7 +421,7 @@ def test_resp_wire_translation_frozen():
     assert enc(K_LIST, list_append(b"x")) == (
         b"*3\r\n$5\r\nRPUSH\r\n$17\r\nnf1@ins1@1@List@L\r\n$1\r\nx\r\n"
     )
-    assert enc(K_LIST, list_clear()) == b"*2\r\n$3\r\nDEL\r\n$17\r\nnf1@ins1@1@List@L\r\n"
+    assert enc(K_LIST, delete()) == b"*2\r\n$3\r\nDEL\r\n$17\r\nnf1@ins1@1@List@L\r\n"
     assert enc(K_SET, set_add(b"m")) == (
         b"*3\r\n$4\r\nSADD\r\n$16\r\nnf1@ins1@1@Set@S\r\n$1\r\nm\r\n"
     )

@@ -72,7 +72,6 @@ def mutations_for(key):
     if stype is StructureType.LIST:
         return st.one_of(
             st.sampled_from(BLOBS).map(lambda b: Mutation("list_append", None, b)),
-            st.just(Mutation("list_clear")),
             st.just(Mutation("delete")),
         )
     return st.one_of(

@@ -13,7 +13,7 @@ from flexstate.resp.protocol import (
     encode_error,
     encode_integer,
     encode_simple,
-    read_command,
+    parse_command,
     read_reply,
 )
 
@@ -106,23 +106,19 @@ def test_oversized_bulk_rejected():
 
 def test_read_command_round_trip():
     wire = encode_command(b"HSET", b"key", b"f", b"v")
-    assert read_command(io.BytesIO(wire)) == [b"HSET", b"key", b"f", b"v"]
-
-
-def test_read_command_clean_eof():
-    assert read_command(io.BytesIO(b"")) is None
+    assert parse_command(wire) == ([b"HSET", b"key", b"f", b"v"], len(wire))
 
 
 def test_read_command_rejects_inline():
     with pytest.raises(ProtocolError):
-        read_command(io.BytesIO(b"PING\r\n"))
+        parse_command(b"PING\r\n")
 
 
 def test_read_command_rejects_nil_members():
     with pytest.raises(ProtocolError):
-        read_command(io.BytesIO(b"*2\r\n$3\r\nGET\r\n$-1\r\n"))
+        parse_command(b"*2\r\n$3\r\nGET\r\n$-1\r\n")
     with pytest.raises(ProtocolError):
-        read_command(io.BytesIO(b"*2\r\n$3\r\nGET\r\n:5\r\n"))
+        parse_command(b"*2\r\n$3\r\nGET\r\n:5\r\n")
 
 
 def test_pipelined_replies_consume_exactly():
@@ -136,11 +132,20 @@ _GET = b"*2\r\n$3\r\nGET\r\n"
 
 
 @pytest.mark.parametrize(
+    "tail, need",
+    [
+        (b"", 6),  # each element left takes at least "$0\r\n\r\n"
+        (b"$3\r\nke", 9),  # the payload's declared length and its CRLF
+        (b"$3", 6),
+    ],
+)
+def test_read_command_cut_short(tail, need):
+    assert parse_command(_GET + tail) == (None, len(_GET) + need)
+
+
+@pytest.mark.parametrize(
     "tail, exc, message",
     [
-        (b"", ConnectionLost, "connection closed mid-frame"),
-        (b"$3\r\nke", ConnectionLost, "connection closed mid-bulk"),
-        (b"$3", ConnectionLost, "connection closed mid-line"),
         (b"$3\nkey\r\n", ProtocolError, "line without CRLF terminator: b'$3\\n'"),
         (b"$x\r\nkey\r\n", ProtocolError, "bad bulk length b'x'"),
         (b"$-2\r\nkey\r\n", ProtocolError, "bulk length -2 out of range"),
@@ -152,7 +157,7 @@ _GET = b"*2\r\n$3\r\nGET\r\n"
 )
 def test_read_command_element_faults(tail, exc, message):
     with pytest.raises(exc) as info:
-        read_command(io.BytesIO(_GET + tail))
+        parse_command(_GET + tail)
     assert str(info.value) == message
 
 
@@ -166,6 +171,6 @@ def test_read_command_element_faults(tail, exc, message):
     ],
 )
 def test_read_command_element_edge_cases(wire, parts):
-    stream = io.BytesIO(wire + b"*1\r\n$4\r\nPING\r\n")
-    assert read_command(stream) == parts
-    assert read_command(stream) == [b"PING"]  # consumed exactly one command
+    stream = wire + b"*1\r\n$4\r\nPING\r\n"
+    assert parse_command(stream) == (parts, len(wire))  # exactly one command
+    assert parse_command(stream, len(wire)) == ([b"PING"], len(stream))

@@ -6,7 +6,6 @@ from flexstate.errors import FlowFileError
 from flexstate.runtime import Packet
 from flexstate.trafficgen import (
     FLOWFILE_HEADER,
-    TrafficSpec,
     generate_flows,
     parse_flow_file,
     read_flow_file,
@@ -56,23 +55,13 @@ def test_replay_packet_size():
     flows = generate_flows(3, seed=2)
     for p in replay(flows, packet_size=128, budget=6):
         assert p.size == 128
+    with pytest.raises(FlowFileError, match="packet_size below minimum"):
+        replay(flows, packet_size=10, budget=6)
 
 
 def test_replay_rejects_empty():
     with pytest.raises(FlowFileError):
         next(iter(replay([], budget=10)))
-
-
-def test_spec_validation():
-    spec = TrafficSpec(n_flows=100, seed=5, budget=1000)
-    assert len(spec.flows()) == 100
-    assert len(list(spec.packets())) == 1000
-    with pytest.raises(ValueError):
-        TrafficSpec(n_flows=0)
-    with pytest.raises(ValueError):
-        TrafficSpec(budget=10, duration_s=1.0)
-    with pytest.raises(ValueError):
-        TrafficSpec(packet_size=10)
 
 
 def test_flow_file_round_trip(tmp_path):
