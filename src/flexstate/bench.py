@@ -273,7 +273,7 @@ def _lb_checks(pool: WorkerPool, session, config: FlexConfig) -> dict:
         "per_core_spread_ok": per_core_ok,
         "global_spread_ok": global_ok,
         "combined_matches_logs": combined == {k: v for k, v in log_totals.items() if v},
-        "all_packets_forwarded": all(w.nf_dropped == 0 for w in pool.workers),
+        "all_packets_forwarded": all(w.report.nf_dropped == 0 for w in pool.workers),
     }
 
 

@@ -551,13 +551,16 @@ class Flusher:
     Every batch a tick or CoreCache.drain takes goes through _push, the
     one place the flush rules live. A transport failure (ConnectionLost)
     retains the batch for the next try; the tick backs off, drain retries
-    to its deadline. Any other StateError means the store refused the
-    batch (an Overflow, a TypeConflict), which a retry cannot change: the
-    batch is written to a dump file (see _dump_batch), counted in
-    stats.dead_letters, named with the error in stats.last_error, and
-    acknowledged so waiting calls proceed and the cadence keeps running.
-    The dump holds the whole batch: on a store without atomic batches
-    (resp) the mutations around the refused one may have been applied.
+    to its deadline. The resp driver has trimmed off what the store
+    answered, which counts as landed, so the retained batch, its
+    backpressure count and a drain dump hold only unanswered mutations.
+    Any other StateError means the store refused the batch (an Overflow, a
+    TypeConflict), which a retry cannot change: the batch is written to a
+    dump file (see _dump_batch), counted in stats.dead_letters, named with
+    the error in stats.last_error, and acknowledged so waiting calls
+    proceed and the cadence keeps running. The dump holds the whole batch:
+    on a store without atomic batches (resp) the mutations around the
+    refused one may have been applied.
     """
 
     def __init__(self, cache: CoreCache, interval_us: int):
@@ -665,11 +668,17 @@ class Flusher:
         stats = cache.stats
         if not draining:
             stats.flushes_attempted += 1
+        size = len(batch)
         try:
             cache.flusher_session.apply(batch)
         except ConnectionLost as exc:
             stats.retries += 1
             stats.last_error = str(exc)
+            # A head the store answered was trimmed off the batch: it landed.
+            if draining:
+                stats.drain_mutations += size - len(batch)
+            else:
+                stats.mutations_flushed += size - len(batch)
             self.retained_batch = batch
             cache.note_flush_outcome(len(batch))
             raise
@@ -680,9 +689,9 @@ class Flusher:
             stats.last_error = f"batch dead-lettered to {path}: {exc}"
         else:
             if draining:
-                stats.drain_mutations += len(batch)
+                stats.drain_mutations += size
             else:
                 stats.flushes_succeeded += 1
-                stats.mutations_flushed += len(batch)
+                stats.mutations_flushed += size
         self.retained_batch = None
         cache.note_flush_outcome(0)

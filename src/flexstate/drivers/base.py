@@ -37,8 +37,9 @@ one dict (self._data) and everything around it:
     - exactly-once batches per session: a batch whose seq is not above the
       session's last applied seq is skipped, so retrying an applied batch
       is a no-op (wipe forgets every session's seq along with the data);
-    - all-or-nothing batches for integer failures. Before anything
-      mutates, a validation pass replays the batch's integer arithmetic
+    - all-or-nothing batches for unknown kinds and integer failures.
+      Before anything mutates, a validation pass refuses a kind outside
+      the nine with TypeConflict and replays the batch's integer arithmetic
       on running values per key and raises the Overflow or TypeConflict
       the batch would hit, so an overflow in item 7 leaves items 1..6
       unapplied. It covers incr and map_incr sums, the values that
@@ -68,6 +69,10 @@ from ..keys import StoreKey, StructureType, key_prefix, parse_key
 from ..limits import check_int64
 
 UNSET_SEQ = -1
+
+KINDS = frozenset(
+    "set_blob delete incr map_set map_del map_incr list_append set_add set_del".split()
+)
 
 
 class Mutation(NamedTuple):
@@ -290,6 +295,8 @@ class LocalDriver(Driver):
                 if not isinstance(m.value, int):
                     raise TypeConflict(f"value {m.value!r} is not an integer")
                 running.setdefault(key, {})[m.field] = m.value
+            elif kind not in KINDS:
+                raise TypeConflict(f"unknown mutation kind {kind!r}")
 
     def _fetch(self, session: DriverSession, key: StoreKey):
         with self._lock:

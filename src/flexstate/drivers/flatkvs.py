@@ -89,8 +89,6 @@ class FlatKvsDriver(LocalDriver):
             self._typed(name, list, True).append(m.value)
         elif kind == "set_add":
             self._typed(name, set, True).add(m.value)
-        else:
-            raise TypeConflict(f"unknown mutation kind {kind!r}")
 
     def _snapshot(self, key: StoreKey):
         stype = key.structure_type

@@ -19,22 +19,23 @@ of one: the counting kinds are not idempotent and the rest have no
 variadic form worth grouping. A kind that _COMMANDS does not name is
 refused with ProtocolError before any command of its batch is sent.
 
-Every reply read advances a per-batch acknowledgement count. When the
-connection dies mid-batch the session remembers how many commands were
-acknowledged; a retry of the same batch rebuilds the same command list,
-reconnects and resends only the unacknowledged tail. A command whose
-reply was in flight when the connection died may be applied twice; the
-protocol subset has no sequence numbers, so that window cannot be closed
-from the client side. Applying a grouped command twice, followed by the
-same tail, leaves the state it would have left once, so the window holds
-at most one mutation of a non-idempotent kind per command in flight.
+A batch is its own resume point. When the connection dies mid-batch the
+session records how many commands the store answered before the first
+error reply (answered), and _apply trims the mutations those commands
+carried off the front of the batch before ConnectionLost propagates. The
+cache retries the same batch object, so a retry sends only what the
+store has not answered, and a refused command is sent again and its
+refusal raised. A command whose reply was in flight when the connection
+died may be applied twice; the protocol subset has no sequence numbers,
+so that window cannot be closed from the client side. Applying a grouped
+command twice, followed by the same tail, leaves the state it would have
+left once, so the window holds at most one mutation of a non-idempotent
+kind per command in flight.
 
 Error replies are raised in one place, exchange, for batches, fetches,
 scans and wipes alike, and only once every reply of their pipelined
 chunk has been read, so the next exchange starts on a reply boundary. A
-batch the store failed that way is finished, not resumable: its ledger
-entry is dropped, and only a lost connection keeps one for a retry to
-resume from.
+batch the store failed that way is left whole.
 
 Timeouts are the kernel's: a connected socket is blocking, with
 SO_RCVTIMEO and SO_SNDTIMEO set to _IO_TIMEOUT_S. A Python-level socket
@@ -101,13 +102,12 @@ def _raise_reply(error: RespError):
     raise ProtocolError(f"unexpected error reply: {message}")
 
 
-def _encode_batch(items: list) -> list[bytes]:
-    """Commands for a batch's mutations, in batch order.
-
-    The list depends only on the items, so a retry's acknowledgement count
-    indexes the same commands as the attempt that recorded it.
+def _encode_batch(items: list) -> tuple[list[bytes], list[int]]:
+    """Commands for a batch's mutations, in batch order, and where each
+    starts: starts[k] is the index of the first item command k carries.
     """
     commands = []
+    starts = []
     n = len(items)
     i = 0
     while i < n:
@@ -131,8 +131,9 @@ def _encode_batch(items: list) -> list[bytes]:
             if value is not None:
                 args.append(b"%d" % value if isinstance(value, int) else value)
         commands.append(protocol.encode_command(*args))
+        starts.append(i)
         i = j
-    return commands
+    return commands, starts
 
 
 class RespSession(DriverSession):
@@ -141,7 +142,7 @@ class RespSession(DriverSession):
         self._address = address
         self._sock: socket.socket | None = None
         self._reader = None
-        self.acked: dict[int, int] = {}
+        self.answered = 0  # commands answered when the last exchange lost the link
         self.reconnects = 0
 
     def ensure_connected(self) -> None:
@@ -175,20 +176,21 @@ class RespSession(DriverSession):
                 pass
             self._sock = None
 
-    def exchange(self, commands: list[bytes], seq: int | None = None) -> list:
+    def exchange(self, commands: list[bytes]) -> list:
         """Pipeline commands in chunks; return one reply per command.
 
         The first error reply of a chunk is raised (as TypeConflict,
         Overflow or ProtocolError) once the whole chunk has been read.
-        Given a batch seq, every reply read also advances acked[seq].
+        A lost link sets answered to the number of commands answered
+        before the first error reply, then raises ConnectionLost.
         """
         if self._sock is None:
+            self.answered = 0
             self.ensure_connected()
         sock = self._sock
         reader = self._reader
         read_reply = protocol.read_reply
         replies = []
-        acked = self.acked
         n = len(commands)
         try:
             for start in range(0, n, _PIPELINE):
@@ -196,13 +198,13 @@ class RespSession(DriverSession):
                 sock.sendall(b"".join(chunk))
                 for _ in chunk:
                     replies.append(read_reply(reader))
-                    if seq is not None:
-                        acked[seq] += 1
                 for reply in replies[start:]:
                     if isinstance(reply, RespError):
                         _raise_reply(reply)
         except (OSError, ConnectionLost) as exc:
             what = "timed out" if self._stalled(exc) else "failed"
+            refused = [i for i, reply in enumerate(replies) if isinstance(reply, RespError)]
+            self.answered = refused[0] if refused else len(replies)
             self.drop_link()
             raise ConnectionLost(f"store connection {what}: {exc}") from exc
         return replies
@@ -241,17 +243,14 @@ class RespDriver(Driver):
         return RespSession(self, session_id, inject_latency_us, self._address)
 
     def _apply(self, session: RespSession, batch: MutationBatch) -> None:
-        commands = _encode_batch(batch.items)
-        seq = batch.seq
-        acked = session.acked
-        skip = acked.setdefault(seq, 0)
-        if skip < len(commands):
-            try:
-                session.exchange(commands[skip:] if skip else commands, seq)
-            except (TypeConflict, Overflow, ProtocolError):
-                del acked[seq]
-                raise
-        del acked[seq]
+        commands, starts = _encode_batch(batch.items)
+        try:
+            session.exchange(commands)
+        except ConnectionLost:
+            # What the store answered is applied: a retry sends the rest.
+            if session.answered:
+                del batch.items[: starts[session.answered]]
+            raise
 
     def _fetch(self, session: RespSession, key: StoreKey):
         reply = session.exchange([self._fetch_command(key)])[0]

@@ -18,7 +18,6 @@ LocalDriver (see drivers/base.py).
 
 from __future__ import annotations
 
-from ..errors import TypeConflict
 from ..keys import StoreKey, StructureType
 from ..limits import check_int64
 from .base import LocalDriver, Mutation
@@ -86,8 +85,6 @@ class TableStoreDriver(LocalDriver):
                 del keyspace[key.structure_type.token]
                 if not keyspace:
                     del self._data[_keyspace_of(key)]
-        else:
-            raise TypeConflict(f"unknown mutation kind {kind!r}")
 
     def _snapshot(self, key: StoreKey):
         table = self._table(key)

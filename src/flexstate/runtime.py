@@ -38,7 +38,7 @@ from itertools import islice
 from typing import Callable, Iterable, NamedTuple
 
 from .api import StateContext
-from .cache import CoreCache, FlushStats
+from .cache import CoreCache
 from .config import FlexConfig
 from .errors import StateError
 from . import drivers
@@ -151,12 +151,8 @@ class _Worker(threading.Thread):
         self.nf_factory = nf_factory
         self.nf = None
         self.cache: CoreCache | None = None
-        self.processed = 0
-        self.forwarded = 0
-        self.nf_dropped = 0
-        self.discarded = 0
+        self.report = CoreReport(core_id)
         self.end_time = 0.0
-        self.flush_stats: FlushStats | None = None
         self.error: str | None = None
 
     def run(self) -> None:
@@ -182,7 +178,7 @@ class _Worker(threading.Thread):
             self.end_time = time.perf_counter()
             if self.cache is not None:
                 try:
-                    self.flush_stats = self.cache.drain()
+                    self.report.flush = self.cache.drain().as_dict()
                 except StateError as exc:
                     if self.error is None:
                         self.error = f"drain failed: {exc}"
@@ -198,14 +194,14 @@ class _Worker(threading.Thread):
                         nf_dropped += 1
                 processed += len(chunk)
         finally:
-            self.processed = processed
-            self.forwarded = processed - nf_dropped
-            self.nf_dropped = nf_dropped
+            self.report.processed = processed
+            self.report.forwarded = processed - nf_dropped
+            self.report.nf_dropped = nf_dropped
 
     def _discard_until_sentinel(self) -> None:
         # The dispatcher sends the sentinel even when its source fails.
         for chunk in iter(self.inbox.get, None):
-            self.discarded += len(chunk)
+            self.report.discarded_after_error += len(chunk)
 
 
 class WorkerPool:
@@ -316,29 +312,20 @@ class WorkerPool:
             )
 
         wall = max(w.end_time for w in self.workers) - start
-        per_core = []
         for w in self.workers:
-            per_core.append(
-                CoreReport(
-                    core_id=w.core_id,
-                    processed=w.processed,
-                    forwarded=w.forwarded,
-                    nf_dropped=w.nf_dropped,
-                    queue_dropped=queue_dropped[w.core_id] + w.discarded,
-                    discarded_after_error=w.discarded,
-                    flush=w.flush_stats.as_dict() if w.flush_stats else {},
-                    nf_summary=self._summary_of(w.nf),
-                )
-            )
-        processed = sum(w.processed for w in self.workers)
+            c = w.report
+            c.queue_dropped = queue_dropped[w.core_id] + c.discarded_after_error
+            c.nf_summary = self._summary_of(w.nf)
+        per_core = [w.report for w in self.workers]
+        processed = sum(c.processed for c in per_core)
         report = RunReport(
             nf_name=nf_name,
             driver_label=getattr(self.driver, "label", "?"),
             cores=n,
             packets_in=packets_in,
             processed=processed,
-            forwarded=sum(w.forwarded for w in self.workers),
-            nf_dropped=sum(w.nf_dropped for w in self.workers),
+            forwarded=sum(c.forwarded for c in per_core),
+            nf_dropped=sum(c.nf_dropped for c in per_core),
             queue_dropped=sum(c.queue_dropped for c in per_core),
             duration_s=wall,
             pps=processed / wall if wall > 0 else 0.0,

@@ -1,6 +1,9 @@
 """Driver contract: translation shapes, snapshots, batching, retries."""
 
+import base64
+import json
 import math
+import os
 import random
 import socket
 import struct
@@ -24,6 +27,8 @@ from flexstate.drivers import (
     set_blob,
     set_del,
 )
+from flexstate.api import StateContext
+from flexstate.cache import CoreCache
 from flexstate.config import FlexConfig
 from flexstate.drivers.base import UNSET_SEQ, Mutation
 import flexstate.drivers.resp as resp_mod
@@ -33,6 +38,7 @@ from flexstate.errors import (
     ConnectionLost,
     Overflow,
     StateError,
+    StoreUnavailable,
     TypeConflict,
     UnknownDriver,
 )
@@ -40,7 +46,12 @@ from flexstate.keys import StructureType, build_key
 from flexstate.nf.combine import combine_counters
 from flexstate.resp import protocol
 from flexstate.resp.server import MiniRespServer
-from flexstate.testing import ModelStore, random_population, random_sequence
+from flexstate.testing import (
+    ModelStore,
+    RecordingDriver,
+    random_population,
+    random_sequence,
+)
 
 K_COUNTER = build_key("nf1", "ins1", 1, StructureType.COUNTER, "counter_id")
 K_NV = build_key("nf1", "ins1", 1, StructureType.NAME_VALUE, "N")
@@ -147,6 +158,17 @@ def test_resp_refuses_unknown_kind_before_sending(mini_server, kind):
         apply_items(s, [(K_NV, set_blob(b"v")), (K_LIST, Mutation(kind))])
     driver.close()
     assert mini_server._db == {}  # not even the valid mutation before it
+
+
+@pytest.mark.parametrize("label", ["flatkvs", "tablestore"])
+def test_local_store_refuses_unknown_kind_before_applying(label):
+    driver = make_driver(label)
+    items = [(K_NV, set_blob(b"v")), (K_LIST, Mutation("bogus"))]
+    with driver.connect() as s:
+        for _ in range(2):  # a retry is refused whole again
+            with pytest.raises(TypeConflict, match="unknown mutation kind 'bogus'"):
+                apply_items(s, items)
+            assert s.fetch(K_NV) is None
 
 
 def test_scan_prefix_sorted_and_scoped(driver):
@@ -399,7 +421,7 @@ def test_table_layout_after_random_batches(seed):
 
 
 def enc(key, m):
-    return _encode_batch([(key, m)])[0]
+    return _encode_batch([(key, m)])[0][0]
 
 
 def test_resp_wire_translation_frozen():
@@ -448,16 +470,14 @@ def test_resp_reconnects_after_dropped_link(mini_server):
 
 
 def test_resp_retry_resumes_at_reply_count(mini_server):
-    # Retries replay only the commands the store never acknowledged. Seed
-    # the ack ledger as if a previous attempt died after 4 replies.
+    # Retries replay only the commands the store never answered. Trim the
+    # batch as a previous attempt that lost the link after 4 replies did.
     drv = make_driver("resp", mini_server.endpoint)
     with drv.connect() as s:
         batch = MutationBatch([(K_COUNTER, incr(1)) for _ in range(10)])
-        batch.seq = s.next_seq()
-        s.acked[batch.seq] = 4
+        del batch.items[: _encode_batch(batch.items)[1][4]]
         s.apply(batch)
         assert s.fetch(K_COUNTER) == 6
-        assert batch.seq not in s.acked  # ledger entry retired on success
 
 
 def test_resp_error_reply_leaves_session_in_step(mini_server):
@@ -473,16 +493,19 @@ def test_resp_error_reply_leaves_session_in_step(mini_server):
         assert s.reconnects == 1
 
 
-def test_resp_store_error_retires_ledger_entry(mini_server):
-    # A batch the store rejected is finished; only a lost link leaves an
-    # entry for a retry to resume from.
+def test_resp_store_error_leaves_batch_whole(mini_server):
+    # A batch the store refused is finished, and dead-lettered whole; only
+    # a lost link trims what the store answered.
     drv = make_driver("resp", mini_server.endpoint)
     with drv.connect() as s:
         apply_items(s, [(K_COUNTER, set_blob(b"abc"))])
+        items = [(K_NV, set_blob(b"x")), (K_COUNTER, incr(1)), (K_NV, set_blob(b"y"))]
+        batch = MutationBatch(list(items))
         for _ in range(3):
             with pytest.raises(TypeConflict):
-                apply_items(s, [(K_COUNTER, incr(1))])
-        assert s.acked == {}
+                s.apply(batch)
+            assert batch.items == items
+        assert s.fetch(K_NV) == b"y"
 
 
 def test_resp_foreign_non_integer_counter_values_are_type_conflict(mini_server):
@@ -554,7 +577,7 @@ def test_resp_grouping_keeps_order_and_singles():
         (K_SET, set_del(b"m")),
         (K_SET, set_del(b"n")),
     ]
-    assert _encode_batch(items) == [
+    assert _encode_batch(items)[0] == [
         b"*6\r\n$4\r\nHSET\r\n$16\r\nnf1@ins1@1@Map@M\r\n"
         b"$1\r\na\r\n$1\r\n1\r\n$1\r\nb\r\n$1\r\n2\r\n",
         enc(K_MAP, map_del(b"a")),
@@ -568,10 +591,10 @@ def test_resp_grouping_keeps_order_and_singles():
     ]
     # A mutation alone in its run encodes exactly as a lone mutation does.
     for key, m in ALL_TYPES_BATCH + items:
-        assert _encode_batch([(key, m), (K_NV, delete())])[0] == enc(key, m)
+        assert _encode_batch([(key, m), (K_NV, delete())])[0][0] == enc(key, m)
     runs = _encode_batch(
         [(K_SET, set_add(b"m%d" % i)) for i in range(_GROUP_MAX + 1)]
-    )
+    )[0]
     assert len(runs) == 2
     assert runs[1] == enc(K_SET, set_add(b"m%d" % _GROUP_MAX))
 
@@ -660,3 +683,178 @@ def test_resp_store_that_never_reads_times_out(silent_listener, monkeypatch):
         with pytest.raises(ConnectionLost, match="timed out"):
             s.exchange(commands)
         assert time.monotonic() - t0 < 1.0
+
+
+class ScriptedPeer:
+    """A loopback RESP peer that answers each command it reads with
+    answer(link, parts), link counting accepted connections from 0: the
+    reply's bytes, or None to close the link there, leaving that command
+    and the rest of the link unanswered. Every command read is kept in
+    received as (link, parts)."""
+
+    def __init__(self, answer):
+        self.answer = answer
+        self.received = []
+        self._srv = socket.socket()
+        self._srv.bind(("127.0.0.1", 0))
+        self._srv.listen(8)
+        self.endpoint = "127.0.0.1:%d" % self._srv.getsockname()[1]
+        threading.Thread(target=self._accept, daemon=True).start()
+
+    def _accept(self):
+        link = 0
+        try:
+            while True:
+                conn = self._srv.accept()[0]
+                threading.Thread(target=self._serve, args=(link, conn), daemon=True).start()
+                link += 1
+        except OSError:
+            pass
+
+    def _serve(self, link, conn):
+        buf = b""
+        with conn:
+            try:
+                while data := conn.recv(65536):
+                    buf += data
+                    out = []
+                    pos = 0
+                    while True:
+                        parts, end = protocol.parse_command(buf, pos)
+                        if parts is None:
+                            break
+                        pos = end
+                        self.received.append((link, parts))
+                        reply = self.answer(link, parts)
+                        if reply is None:
+                            # Send what was answered, then read to the
+                            # client's close: unread input would turn the
+                            # close into a reset that can discard the
+                            # replies in flight.
+                            conn.sendall(b"".join(out))
+                            conn.shutdown(socket.SHUT_WR)
+                            conn.settimeout(5)
+                            while conn.recv(65536):
+                                pass
+                            return
+                        out.append(reply)
+                    buf = buf[pos:]
+                    conn.sendall(b"".join(out))
+            except OSError:
+                pass  # the client went away
+
+    def close(self):
+        if self._srv.fileno() >= 0:
+            self._srv.shutdown(socket.SHUT_RDWR)  # ends a pending accept
+            self._srv.close()
+
+
+@pytest.fixture
+def scripted_peer():
+    peers = []
+
+    def start(answer):
+        peers.append(ScriptedPeer(answer))
+        return peers[-1]
+
+    yield start
+    for peer in peers:
+        peer.close()
+
+
+def test_resp_refused_then_lost_command_is_resent(scripted_peer):
+    # The store answers c0, refuses c1, then the link drops before c2's
+    # reply. The refusal must not count as answered: the retry resends c1
+    # and c2, and c1's refusal is raised.
+    keys = [build_key("nf1", "ins1", 1, StructureType.COUNTER, f"c{i}") for i in range(3)]
+    names = [key.encoded for key in keys]
+
+    def answer(link, parts):
+        if parts[1] == names[1]:
+            return b"-ERR increment or decrement would overflow\r\n"
+        if parts[1] == names[2] and link == 0:
+            return None
+        return b":1\r\n"
+
+    peer = scripted_peer(answer)
+    with make_driver("resp", peer.endpoint).connect() as s:
+        batch = MutationBatch([(key, incr(1)) for key in keys])
+        with pytest.raises(ConnectionLost):
+            s.apply(batch)
+        with pytest.raises(Overflow):
+            s.apply(batch)
+    assert [parts[1] for link, parts in peer.received if link == 1] == names[1:]
+
+
+def grouped_items():
+    items = [(K_MAP, map_set(b"f%d" % i, b"v")) for i in range(_GROUP_MAX + 10)]
+    items += [(K_COUNTER, incr(1)), (K_COUNTER, incr(2))]
+    items += [(K_SET, set_add(b"m%d" % i)) for i in range(3)]
+    return items
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
+def test_resp_lost_link_trims_answered_head(scripted_peer, k):
+    items = grouped_items()
+    starts = _encode_batch(items)[1]
+    assert len(starts) == 5
+
+    def answer(link, parts):
+        answered.append(parts)
+        return b":0\r\n" if len(answered) <= k else None
+
+    answered = []
+    peer = scripted_peer(answer)
+    with make_driver("resp", peer.endpoint).connect() as s:
+        batch = MutationBatch(list(items))
+        with pytest.raises(ConnectionLost):
+            s.apply(batch)
+    assert batch.items == items[starts[k] :]
+
+
+def test_resp_drain_dumps_only_unanswered_mutations(scripted_peer):
+    # A flush loses the link after one of its commands is answered, and the
+    # store stays down: the retained batch and the drain dump hold only the
+    # mutations the store never answered, also through a wrapping driver.
+    def answer(link, parts):
+        if parts[0] == b"HGETALL":
+            return b"*0\r\n"
+        if parts[0] == b"GET":
+            return b"$-1\r\n"
+        if not answered:
+            answered.append(parts)
+            return b":0\r\n"
+        return None
+
+    answered = []
+    peer = scripted_peer(answer)
+    driver = RecordingDriver(make_driver("resp", peer.endpoint))
+    cache = CoreCache("nf1", "ins1", 0, driver, start_flusher=False)
+    ctx = StateContext(cache)
+    m = ctx.create_map("m")
+    counter = ctx.create_counter("c")
+    fields = [b"f%d" % i for i in range(_GROUP_MAX + 10)]
+    for field in fields:
+        m.insert_nowait(field, b"v")
+    counter.add_nowait(3)
+    cache.flush_now()
+    assert answered[0][2::2] == fields[:_GROUP_MAX]
+    left = [(m.key, map_set(f, b"v")) for f in fields[_GROUP_MAX:]] + [(counter.key, incr(3))]
+    assert cache.flusher.retained_batch.items == left
+    assert cache.stats.mutations_flushed == _GROUP_MAX  # the answered head landed
+    peer.close()  # from here on a reconnect is refused
+    cache.flush_now()
+    assert cache.flusher.retained_batch.items == left
+    with pytest.raises(StoreUnavailable) as info:
+        cache.drain(timeout_s=0.2)
+    path = next(p for p in str(info.value).split() if p.endswith(".json:"))[:-1]
+    try:
+        with open(path) as fh:
+            rows = json.load(fh)
+    finally:
+        os.unlink(path)
+    assert [(r["key"], r["kind"]) for r in rows] == [
+        (key.render(), mutation.kind) for key, mutation in left
+    ]
+    assert [base64.b64decode(r["field"]["b64"]) for r in rows[:-1]] == fields[_GROUP_MAX:]
+    assert rows[-1]["value"] == 3
