@@ -68,8 +68,22 @@ class BenchScenario:
             raise ValueError("cores must be at least 1")
         if out.repetitions < 1:
             raise ValueError("repetitions must be at least 1")
+        if out.inject_latency_us < 0:
+            raise ValueError("inject_latency_us must not be negative")
+        out.config(out.endpoint).validate()
         make_nf_factory(out.nf, **out.nf_params)
         return out
+
+    def config(self, endpoint: str) -> FlexConfig:
+        """The config a repetition runs, on endpoint (a bundled server's
+        own endpoint stands in for "local" on resp)."""
+        return FlexConfig(
+            nf_id=self.nf_id,
+            instance_id=self.instance_id,
+            driver_label=self.driver_label,
+            endpoint=endpoint,
+            flush_interval_us=self.flush_interval_us,
+        )
 
     def label(self) -> str:
         where = self.endpoint if self.driver_label == "resp" else "local"
@@ -154,13 +168,7 @@ def _run_rep(scenario: BenchScenario, endpoint: str, seed: int) -> RepResult:
     control = driver.connect()
     try:
         driver.wipe(control)  # repetitions must not see earlier state
-        config = FlexConfig(
-            nf_id=scenario.nf_id,
-            instance_id=scenario.instance_id,
-            driver_label=scenario.driver_label,
-            endpoint=endpoint,
-            flush_interval_us=scenario.flush_interval_us,
-        )
+        config = scenario.config(endpoint)
         pool = WorkerPool(
             config,
             scenario.cores,

@@ -22,10 +22,12 @@ If the flusher currently has a batch in flight (or retained after a
 failure), the waiting call first waits for that batch so the store sees
 one order per structure.
 
-Every handle mutator, in both forms, enters through apply_op(state,
-method, a, b): its arguments are plain positionals, the _nowait forms pass
-nothing else and the waiting forms add wait=True. Counter and CounterMap
-increments check their int argument inside the fold, beside the sum.
+Each open structure's entry is its handle (api.py). Every handle mutator,
+in both forms, enters through apply_op(state, method, a, b), with state
+the handle and method one of its folds: the arguments are plain
+positionals, the _nowait forms pass nothing else and the waiting forms add
+wait=True. Counter and CounterMap increments check their int argument
+inside the fold, beside the sum.
 
 Locking: one plain threading.Lock guards the pending log, the dirty list
 and the flush bookkeeping. The mutation path (apply_op) takes it with an
@@ -33,8 +35,9 @@ explicit acquire/release pair, one raw-lock round trip per call; the cold
 paths (structure creation, the flusher's swap and outcome, a waiting
 call's barrier) take it through a Condition built on the same lock, which
 adds the wait/notify that the barrier needs. The lock is not re-entrant
-and nothing re-enters it: the code run while it is held is the state
-methods and MutationBatch.add, none of which calls back into the cache.
+and nothing re-enters it: the code run while it is held is the handles'
+folds, their _collect and MutationBatch.add, none of which calls back
+into the cache.
 Live values are only ever touched by the owning worker thread, so reads
 take no lock at all.
 """
@@ -49,7 +52,8 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-from .drivers.base import Driver, Mutation, MutationBatch
+from .api import _HANDLE_BY_TYPE
+from .drivers.base import Driver, MutationBatch
 from .errors import (
     BackpressureSignal,
     ConnectionLost,
@@ -57,15 +61,13 @@ from .errors import (
     StoreUnavailable,
     TypeConflict,
 )
-from .keys import StoreKey, StructureType, build_key, check_structure_id
-from .limits import INT64_MAX, INT64_MIN, check_int, check_int64
+from .keys import StructureType, build_key, check_structure_id
 
 DEFAULT_BACKPRESSURE_LIMIT = 2**20
 RETRY_BASE_S = 0.001
 RETRY_CAP_S = 0.100
 SYNC_TIMEOUT_S = 5.0
 _NO_ARG = object()  # an apply_op argument slot the mutator does not take
-_new = tuple.__new__  # builds a Mutation without NamedTuple's Python __new__
 
 
 def _retry(deadline: float, call, *args):
@@ -81,227 +83,6 @@ def _retry(deadline: float, call, *args):
                 raise
             time.sleep(delay)
             delay = min(delay * 2, RETRY_CAP_S)
-
-
-# Structure state. Mutators fold into the pending slot(s) and return the
-# net change in pending-slot count; collect() drains the slots into a
-# batch. Each pending op is recorded under the Mutation kind it flushes
-# as, so collect only attaches the key (and field or member). The
-# collections, which can hold thousands of slots, build their items in
-# one list comprehension with tuple.__new__(Mutation, ...): NamedTuple's
-# generated __new__ and a batch.add call per item would cost about twice
-# as much, all of it under the cache lock. The invariant throughout:
-# replaying the pending slots on top of the store's current value yields
-# exactly `live`.
-
-
-class _NameValueState:
-    __slots__ = ("key", "live", "pend")
-    stype = StructureType.NAME_VALUE
-
-    def __init__(self, key: StoreKey, snapshot):
-        self.key = key
-        self.live = snapshot  # bytes, int (counters) or None (absent)
-        self.pend = None  # None | ("set_blob", v) | ("incr", n) | ("delete", None)
-
-    def set_value(self, value) -> int:
-        delta = 0 if self.pend else 1
-        self.pend = ("set_blob", value)
-        self.live = value
-        return delta
-
-    def drop(self) -> int:
-        delta = 0 if self.pend else 1
-        self.pend = ("delete", None)
-        self.live = None
-        return delta
-
-    def collect(self, batch: MutationBatch) -> int:
-        p = self.pend
-        if p is None:
-            return 0
-        batch.add(self.key, Mutation(p[0], None, p[1]))
-        self.pend = None
-        return 1
-
-
-class _CounterState(_NameValueState):
-    __slots__ = ()
-    stype = StructureType.COUNTER
-
-    def add(self, n: int) -> int:
-        if type(n) is not int or not INT64_MIN <= n <= INT64_MAX:
-            n = check_int(n)  # the argument checks; raises what it refuses
-        value = (self.live or 0) + n
-        if not INT64_MIN <= value <= INT64_MAX:
-            check_int64(value)  # raises Overflow
-        p = self.pend
-        if p is None:
-            self.pend = ("incr", n)
-            delta = 1
-        else:
-            # After a set or a delete, or where the summed increment would
-            # leave int64, the slot becomes a set of the live value.
-            if p[0] == "incr" and INT64_MIN <= (acc := p[1] + n) <= INT64_MAX:
-                self.pend = ("incr", acc)
-            else:
-                self.pend = ("set_blob", value)
-            delta = 0
-        self.live = value
-        return delta
-
-
-class _MapState:
-    __slots__ = ("key", "live", "pend", "reset")
-    stype = StructureType.MAP
-
-    def __init__(self, key: StoreKey, snapshot):
-        self.key = key
-        self.live: dict = dict(snapshot) if snapshot else {}
-        # field -> ("map_set", v) | ("map_incr", n) | ("map_del", None)
-        self.pend: dict = {}
-        self.reset = False
-
-    def _slots(self) -> int:
-        return len(self.pend) + (1 if self.reset else 0)
-
-    def insert(self, fieldname: bytes, value) -> int:
-        delta = 0 if fieldname in self.pend else 1
-        self.pend[fieldname] = ("map_set", value)
-        self.live[fieldname] = value
-        return delta
-
-    def remove(self, fieldname: bytes) -> int:
-        delta = 0 if fieldname in self.pend else 1
-        self.pend[fieldname] = ("map_del", None)
-        self.live.pop(fieldname, None)
-        return delta
-
-    def drop(self) -> int:
-        delta = 1 - self._slots()
-        self.pend.clear()
-        self.reset = True
-        self.live.clear()
-        return delta
-
-    def collect(self, batch: MutationBatch) -> int:
-        count = self._slots()
-        if count == 0:
-            return 0
-        key = self.key
-        if self.reset:
-            batch.add(key, Mutation("delete"))
-            self.reset = False
-        batch.items += [
-            (key, _new(Mutation, (kind, fieldname, value)))
-            for fieldname, (kind, value) in self.pend.items()
-        ]
-        self.pend.clear()
-        return count
-
-
-class _CounterMapState(_MapState):
-    __slots__ = ()
-    stype = StructureType.COUNTER_MAP
-
-    def add_to(self, fieldname: bytes, n: int) -> int:
-        if type(n) is not int or not INT64_MIN <= n <= INT64_MAX:
-            n = check_int(n)  # the argument checks; raises what it refuses
-        value = self.live.get(fieldname, 0) + n
-        if not INT64_MIN <= value <= INT64_MAX:
-            check_int64(value)  # raises Overflow
-        p = self.pend.get(fieldname)
-        if p is None:
-            self.pend[fieldname] = ("map_incr", n)
-            delta = 1
-        else:
-            if p[0] == "map_incr" and INT64_MIN <= (acc := p[1] + n) <= INT64_MAX:
-                self.pend[fieldname] = ("map_incr", acc)
-            else:
-                self.pend[fieldname] = ("map_set", value)
-            delta = 0
-        self.live[fieldname] = value
-        return delta
-
-
-class _ListState:
-    __slots__ = ("key", "live", "appends", "reset")
-    stype = StructureType.LIST
-
-    def __init__(self, key: StoreKey, snapshot):
-        self.key = key
-        self.live: list = list(snapshot) if snapshot else []
-        self.appends: list = []
-        self.reset = False
-
-    def push_back(self, value) -> int:
-        self.appends.append(value)
-        self.live.append(value)
-        return 1
-
-    def clear(self) -> int:
-        delta = 1 - (len(self.appends) + (1 if self.reset else 0))
-        self.appends.clear()
-        self.reset = True
-        self.live.clear()
-        return delta
-
-    def collect(self, batch: MutationBatch) -> int:
-        count = len(self.appends) + (1 if self.reset else 0)
-        if count == 0:
-            return 0
-        key = self.key
-        if self.reset:
-            batch.add(key, Mutation("delete"))
-            self.reset = False
-        batch.items += [
-            (key, _new(Mutation, ("list_append", None, value))) for value in self.appends
-        ]
-        self.appends.clear()
-        return count
-
-
-class _SetState:
-    __slots__ = ("key", "live", "pend")
-    stype = StructureType.SET
-
-    def __init__(self, key: StoreKey, snapshot):
-        self.key = key
-        self.live: set = set(snapshot) if snapshot else set()
-        self.pend: dict = {}  # member -> "set_add" | "set_del"
-
-    def insert(self, value: bytes) -> int:
-        delta = 0 if value in self.pend else 1
-        self.pend[value] = "set_add"
-        self.live.add(value)
-        return delta
-
-    def remove(self, value: bytes) -> int:
-        delta = 0 if value in self.pend else 1
-        self.pend[value] = "set_del"
-        self.live.discard(value)
-        return delta
-
-    def collect(self, batch: MutationBatch) -> int:
-        count = len(self.pend)
-        if count == 0:
-            return 0
-        key = self.key
-        batch.items += [
-            (key, _new(Mutation, (kind, None, member))) for member, kind in self.pend.items()
-        ]
-        self.pend.clear()
-        return count
-
-
-_STATE_BY_TYPE = {
-    StructureType.COUNTER: _CounterState,
-    StructureType.NAME_VALUE: _NameValueState,
-    StructureType.MAP: _MapState,
-    StructureType.COUNTER_MAP: _CounterMapState,
-    StructureType.LIST: _ListState,
-    StructureType.SET: _SetState,
-}
 
 
 @dataclass
@@ -342,7 +123,7 @@ class CoreCache:
         self.driver = driver
         self.backpressure_limit = backpressure_limit
 
-        self._registry: dict[str, object] = {}
+        self._registry: dict[str, object] = {}  # structure id -> handle
         self._dirty: dict[object, None] = {}
         self._pending_total = 0
         self._lock = threading.Lock()
@@ -366,13 +147,15 @@ class CoreCache:
     # Structure lifecycle
 
     def create_structure(self, stype: StructureType, structure_id: str):
+        """The handle registered for structure_id, built and hydrated from
+        the store the first time the id is opened."""
         check_structure_id(structure_id)
         with self._cond:
             existing = self._registry.get(structure_id)
             if existing is not None:
-                if existing.stype is not stype:
+                if existing._stype is not stype:
                     raise TypeConflict(
-                        f"id {structure_id!r} already open as {existing.stype.token}"
+                        f"id {structure_id!r} already open as {existing._stype.token}"
                     )
                 return existing
         key = build_key(self.nf_id, self.instance_id, self.core_id, stype, structure_id)
@@ -382,13 +165,12 @@ class CoreCache:
             )
         except ConnectionLost as exc:
             raise StoreUnavailable(f"cannot hydrate {key}: {exc}") from exc
-        state = _STATE_BY_TYPE[stype](key, snapshot)
+        handle = _HANDLE_BY_TYPE[stype](self, key, snapshot)
         with self._cond:
-            raced = self._registry.setdefault(structure_id, state)
-        return raced
+            return self._registry.setdefault(structure_id, handle)
 
-    # Mutation entry point used by the handles: method(state, a, b) with
-    # only the arguments given, as no mutator takes more than two. wait is
+    # Mutation entry point used by the handles: the fold method(state, a, b)
+    # with only the arguments given, as no fold takes more than two. wait is
     # passed by keyword but not keyword-only: CPython 3.11 does not
     # specialize calls to a function that has keyword-only parameters.
 
@@ -425,7 +207,7 @@ class CoreCache:
             if not wait:
                 return
             batch = MutationBatch()
-            self._pending_total -= state.collect(batch)
+            self._pending_total -= state._collect(batch)
             self._dirty.pop(state, None)
             barrier = self._inflight_swap
         finally:
@@ -433,22 +215,27 @@ class CoreCache:
         self._sync_apply(batch, barrier)
 
     def _sync_apply(self, batch: MutationBatch, barrier: int | None) -> None:
+        """Apply a waiting call's batch on the worker session, after the
+        flusher's batch in flight (swap id barrier) has settled. A call
+        that gives up writes its batch to a dump, as drain does."""
         deadline = time.monotonic() + SYNC_TIMEOUT_S
         if barrier is not None:
             with self._cond:
-                while self._inflight_swap == barrier:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        raise StoreUnavailable(
-                            "timed out waiting for in-flight flush"
-                        )
-                    self._cond.wait(remaining)
-        if not batch:
-            return
+                settled = self._cond.wait_for(
+                    lambda: self._inflight_swap != barrier, deadline - time.monotonic()
+                )
+            if not settled:
+                path = self._dump_batch(batch)
+                raise StoreUnavailable(
+                    f"timed out waiting for in-flight flush, mutations kept in {path}"
+                )
         try:
             _retry(deadline, self.worker_session.apply, batch)
         except ConnectionLost as exc:
-            raise StoreUnavailable(f"waiting call failed: {exc}") from exc
+            path = self._dump_batch(batch)
+            raise StoreUnavailable(
+                f"waiting call failed, mutations kept in {path}: {exc}"
+            ) from exc
         self.stats.sync_flushes += 1
 
     # Flusher side.
@@ -461,7 +248,7 @@ class CoreCache:
             batch = MutationBatch()
             taken = 0
             for state in self._dirty:
-                taken += state.collect(batch)
+                taken += state._collect(batch)
             self._dirty.clear()
             self._pending_total -= taken
             if not batch:

@@ -210,6 +210,15 @@ def test_handles_share_state(ctx):
     assert b.read() == 4
 
 
+@pytest.mark.parametrize(
+    "kind", ["counter", "name_value", "map", "counter_map", "list", "set"]
+)
+def test_opening_an_id_twice_gives_one_handle(ctx, kind):
+    # A handle is its structure's cache entry, so there is one per id.
+    create = getattr(ctx, f"create_{kind}")
+    assert create("x") is create("x")
+
+
 def test_handle_key_properties(ctx):
     c = ctx.create_counter("pktCounter")
     assert c.structure_id == "pktCounter"
@@ -375,7 +384,7 @@ def _pending_view(cache):
     # pending slot and the dirty list.
     states = cache._registry.values()
     return (
-        [(s.key.structure_id, repr(s.live), repr(s.pend)) for s in states],
+        [(s.key.structure_id, repr(s._live), repr(s._pend)) for s in states],
         list(cache._dirty),
         cache.pending_mutations,
     )
@@ -464,6 +473,12 @@ def test_every_mutator_enters_apply_op_once(ctx, monkeypatch):
             if not name.startswith("_") and callable(getattr(handle, name))
         }
         assert public - _READS == set(calls), kind
+        # The live value, the pending slots and the folds stay private.
+        fields = {
+            name for name in dir(handle)
+            if not name.startswith("_") and not callable(getattr(handle, name))
+        }
+        assert fields == {"key", "structure_id"}, kind
         for name, args in calls.items():
             entries.clear()
             getattr(handle, name)(*args)

@@ -269,6 +269,15 @@ def test_cli_run_text_output(capsys):
         (["--duration-s", "0"], "duration_s must be positive"),
         (["--duration-s", "-1"], "duration_s must be positive"),
         (["--budget", "1000", "--duration-s", "0.5"], "set budget or duration_s, not both"),
+        (
+            ["--flush-interval-us", "0"],
+            "flush interval must be a positive integer of microseconds, got 0",
+        ),
+        (
+            ["--flush-interval-us", "-5"],
+            "flush interval must be a positive integer of microseconds, got -5",
+        ),
+        (["--inject-latency-us", "-3"], "inject_latency_us must not be negative"),
     ],
 )
 def test_cli_run_refuses_bad_traffic_limits(limits, message, capsys):

@@ -3,11 +3,13 @@
 import json
 import os
 import random
+import re
 import threading
 import time
 
 import pytest
 
+import flexstate.api as api_mod
 import flexstate.cache as cache_mod
 from flexstate.drivers.base import Mutation
 from flexstate.api import StateContext
@@ -379,16 +381,54 @@ def test_waiting_call_waits_for_inflight_flush():
     cache.drain()
 
 
+def _dumped_rows(info) -> list[dict]:
+    # The dump file a StoreUnavailable names, read and removed.
+    path = re.search(r"(\S+\.json)", str(info.value)).group(1)
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    finally:
+        os.unlink(path)
+
+
 def test_waiting_call_times_out_when_store_is_down(monkeypatch):
+    # Once the call gives up, its incr is no longer pending anywhere, so
+    # it must be in the dump the error names.
     monkeypatch.setattr(cache_mod, "SYNC_TIMEOUT_S", 0.2)
     cache, rec = recording_cache()
     ctx = StateContext(cache)
     counter = ctx.create_counter("c")
     rec.fail_applies = 10**9
-    with pytest.raises(StoreUnavailable):
+    with pytest.raises(StoreUnavailable, match="waiting call failed") as info:
         counter.add(1)
+    assert _dumped_rows(info) == [
+        {"key": "nf1@ins1@0@Counter@c", "kind": "incr", "field": None, "value": 1}
+    ]
     rec.fail_applies = 0
     cache.drain()
+
+
+def test_waiting_call_that_times_out_on_the_barrier_dumps_its_batch(monkeypatch):
+    # The flusher holds a retained batch past the deadline, so the call
+    # never sends its own: its incr must be in the dump the error names.
+    monkeypatch.setattr(cache_mod, "SYNC_TIMEOUT_S", 0.05)
+    cache, rec = recording_cache()
+    ctx = StateContext(cache)
+    a = ctx.create_counter("a")
+    b = ctx.create_counter("b")
+    rec.fail_applies = 1
+    a.add_nowait(1)
+    cache.flush_now()
+    assert cache.flusher.retained_batch
+    with pytest.raises(StoreUnavailable, match="in-flight flush") as info:
+        b.add(1)
+    assert _dumped_rows(info) == [
+        {"key": "nf1@ins1@0@Counter@b", "kind": "incr", "field": None, "value": 1}
+    ]
+    cache.drain()
+    with rec.connect() as probe:
+        assert probe.fetch(a.key) == 1
+        assert probe.fetch(b.key) is None
 
 
 def test_waiting_call_survives_brief_outage():
@@ -872,7 +912,7 @@ def test_owner_mutations_and_flusher_exclude_each_other(label, seed, monkeypatch
     # collect is walking. Counters, name-values and resets are collected
     # through MutationBatch.add; the collections build theirs with _new.
     add = MutationBatch.add
-    new = cache_mod._new
+    new = api_mod._new
     built = set()
 
     def yielding_add(batch, key, mutation):
@@ -885,7 +925,7 @@ def test_owner_mutations_and_flusher_exclude_each_other(label, seed, monkeypatch
         return new(cls, fields)
 
     monkeypatch.setattr(MutationBatch, "add", yielding_add)
-    monkeypatch.setattr(cache_mod, "_new", yielding_new)
+    monkeypatch.setattr(api_mod, "_new", yielding_new)
     driver = make_driver(label)
     cache = CoreCache("nf1", "ins1", 0, driver, flush_interval_us=100)
     ctx = StateContext(cache)
