@@ -19,8 +19,9 @@ folds the mutation into the pending slot(s) and returns the net change in
 slot count; _collect drains the slots into a batch. Both run under the
 cache lock (see cache.py). Each pending op is recorded under the Mutation
 kind it flushes as, so _collect only attaches the key (and field or
-member). The collections, which can hold thousands of slots, build their
-items in one list comprehension with tuple.__new__(Mutation, ...):
+member). Every pending slot becomes its Mutation through
+tuple.__new__(Mutation, ...), and the collections, which can hold
+thousands of slots, add their items in one list comprehension:
 NamedTuple's generated __new__ and a batch.add call per item would cost
 about twice as much, all of it under the cache lock. The invariant
 throughout: replaying the pending slots on top of the store's current
@@ -124,7 +125,7 @@ class _ValueHandle(_Handle):
         p = self._pend
         if p is None:
             return 0
-        batch.add(self._key, Mutation(p[0], None, p[1]))
+        batch.add(self._key, _new(Mutation, (p[0], None, p[1])))
         self._pend = None
         return 1
 

@@ -22,9 +22,9 @@ from .limits import MAX_ID_BYTES
 SEPARATOR = "@"
 
 # Printable ASCII except '@' (0x40) and whitespace.
-_TOKEN_RE = re.compile(r"^[!-?A-~]+$")
+_TOKEN_RE = re.compile(r"[!-?A-~]+")
 
-_CORE_RE = re.compile(r"^(0|[1-9][0-9]*)$")
+_CORE_RE = re.compile(r"0|[1-9][0-9]*")
 
 
 class StructureType(enum.Enum):
@@ -46,13 +46,13 @@ _TYPE_BY_TOKEN = {t.value: t for t in StructureType}
 
 
 def check_token(text: str, what: str) -> str:
-    if not isinstance(text, str) or not _TOKEN_RE.match(text):
+    if not isinstance(text, str) or not _TOKEN_RE.fullmatch(text):
         raise InvalidToken(f"{what} {text!r} must be printable ASCII without '@'")
     return text
 
 
 def check_structure_id(structure_id: str) -> str:
-    if not isinstance(structure_id, str) or not _TOKEN_RE.match(structure_id):
+    if not isinstance(structure_id, str) or not _TOKEN_RE.fullmatch(structure_id):
         raise InvalidId(
             f"structure id {structure_id!r} must be printable ASCII without '@'"
         )
@@ -113,7 +113,7 @@ def parse_key(text: str) -> StoreKey:
     if len(parts) != 5:
         raise InvalidToken(f"key {text!r} must have 5 '@'-separated fields")
     nf_id, instance_id, core_text, type_token, structure_id = parts
-    if not _CORE_RE.match(core_text):
+    if not _CORE_RE.fullmatch(core_text):
         raise InvalidToken(f"core field {core_text!r} is not a decimal integer")
     structure_type = _TYPE_BY_TOKEN.get(type_token)
     if structure_type is None:

@@ -10,14 +10,15 @@ every command executes under a single data lock, so individual commands
 are atomic and commands from one pipelined batch apply in order.
 
 Framing works on a buffer, not a file object: each connection recvs up to
-RECV_BYTES at a time, parses every complete command in what it holds with
-protocol.parse_command, dispatches them in order and sends all their
-replies in one sendall. A command cut off by the end of a read is kept
-and completed by later reads; a bulk longer than one read is gathered
-until the length its header declares has arrived, so it is joined once.
-A malformed command is answered with "-ERR Protocol error: ..." after the
-replies to the commands before it in the same read, and the connection
-closes.
+RECV_BYTES at a time, frames every complete command in what it holds with
+protocol.split_commands (at most one CRLF split per read; the commands
+it cannot take from the pieces go to protocol.parse_command), dispatches
+them in order, one at a time, and sends all their replies in one
+sendall. A command cut off by the end of a read is kept and completed by
+later reads; a bulk longer than one read is gathered until the length
+its header declares has arrived, so it is joined once. A malformed
+command is answered with "-ERR Protocol error: ..." after the replies to
+the commands before it in the same read, and the connection closes.
 
 Integer arguments and stored counters are parsed as Redis's string2ll
 parses them: no "+", no spaces, no "_", no leading zero, within int64.
@@ -176,7 +177,7 @@ class MiniRespServer:
             self._threads.append(t)
 
     def _serve(self, conn: socket.socket) -> None:
-        parse = protocol.parse_command
+        split = protocol.split_commands
         dispatch = self._dispatch
         held: list[bytes] = []  # reads not parsed yet: a cut command's start, then more
         size = 0  # bytes in held
@@ -191,27 +192,22 @@ class MiniRespServer:
                 if size < need:
                     continue
                 buf = data if len(held) == 1 else b"".join(held)
-                replies = []
-                pos = 0
+                commands: list[list[bytes]] = []
                 try:
-                    while pos < size:
-                        parts, end = parse(buf, pos)
-                        if parts is None:
-                            need = end - pos
-                            break
-                        replies.append(dispatch(parts))
-                        pos = end
+                    pos, need = split(buf, commands)
                 except ProtocolError as exc:
+                    replies = list(map(dispatch, commands))
                     replies.append(protocol.encode_error(f"ERR Protocol error: {exc}"))
                     conn.sendall(b"".join(replies))
                     return
-                if replies:
-                    conn.sendall(b"".join(replies))
+                if commands:
+                    conn.sendall(b"".join(map(dispatch, commands)))
                 if pos == size:
                     held, size, need = [], 0, 0
                 else:
                     held = [buf[pos:]]
                     size -= pos
+                    need -= pos
         except OSError:
             pass
         finally:

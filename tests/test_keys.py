@@ -8,6 +8,7 @@ from flexstate.keys import (
     StoreKey,
     StructureType,
     build_key,
+    check_structure_id,
     key_prefix,
     parse_key,
 )
@@ -74,7 +75,7 @@ def test_prefix():
 
 @pytest.mark.parametrize(
     "bad",
-    ["", "a@b", "with space", "tab\tbad", "non\x7fascii", "é", "a@"],
+    ["", "a@b", "with space", "tab\tbad", "non\x7fascii", "é", "a@", "abc\n"],
 )
 def test_bad_tokens_rejected(bad):
     with pytest.raises((InvalidToken, InvalidId)):
@@ -103,11 +104,24 @@ def test_bad_core_rejected():
         "nf1@ins1@0@counter@c",  # tokens are case sensitive
         "@ins1@0@Counter@c",  # empty nf field
         "nf1@ins1@0@Counter@",  # empty id field
+        "nf1@ins1@3\n@Counter@x",  # a newline ending the core field
+        "nf1\n@ins1@0@Counter@x",  # ... or a token
     ],
 )
 def test_bad_renderings_rejected(text):
     with pytest.raises((InvalidToken, InvalidId)):
         parse_key(text)
+
+
+def test_trailing_newline_rejected():
+    # "$" in a pattern also matches before a final newline; the grammar
+    # matches each field whole.
+    with pytest.raises(InvalidId):
+        check_structure_id("abc\n")
+    with pytest.raises(InvalidToken):
+        build_key("nf1\n", "ins1", 0, StructureType.COUNTER, "abc\n")
+    with pytest.raises(InvalidToken):
+        parse_key("nf1@ins1@3\n@Counter@x")
 
 
 def test_keys_hashable_and_frozen():

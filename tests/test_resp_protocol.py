@@ -1,10 +1,13 @@
 """RESP2 wire format: encoding, parsing, and malformed-input rejection."""
 
 import io
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flexstate.errors import ConnectionLost, ProtocolError
+from flexstate.resp import protocol
 from flexstate.resp.protocol import (
     RespError,
     encode_array,
@@ -15,6 +18,7 @@ from flexstate.resp.protocol import (
     encode_simple,
     parse_command,
     read_reply,
+    split_commands,
 )
 
 
@@ -174,3 +178,94 @@ def test_read_command_element_edge_cases(wire, parts):
     stream = wire + b"*1\r\n$4\r\nPING\r\n"
     assert parse_command(stream) == (parts, len(wire))  # exactly one command
     assert parse_command(stream, len(wire)) == ([b"PING"], len(stream))
+
+
+def _parse_walk(buf):
+    """parse_command from 0 to the end of buf: each (parts, end), then
+    (None, need) if a command is cut short, or the ProtocolError."""
+    out = []
+    pos = 0
+    try:
+        while pos < len(buf):
+            parts, end = parse_command(buf, pos)
+            out.append((parts, end))
+            if parts is None:
+                break
+            pos = end
+    except ProtocolError as exc:
+        out.append(("error", str(exc)))
+    return out
+
+
+def _split_walk(buf):
+    """The same record from split_commands: each command with the end that
+    parse_command gives it, where split_commands gives only the end of
+    the last, checked against the walk's."""
+    walk = _parse_walk(buf)
+    commands = []
+    try:
+        end, need = split_commands(buf, commands)
+    except ProtocolError as exc:
+        end, need, error = None, 0, str(exc)
+    else:
+        error = None
+    out = [(parts, walk[k][1]) for k, parts in enumerate(commands)]
+    if end is not None:
+        assert end == (out[-1][1] if out else 0)
+    if need:
+        out.append((None, need))
+    if error is not None:
+        out.append(("error", error))
+    return out
+
+
+_payloads = st.one_of(
+    st.binary(max_size=6),
+    st.lists(
+        st.sampled_from([b"\r\n", b"\r", b"\n", b"$", b"*1", b"$3\r\n", b"x"]),
+        max_size=4,
+    ).map(b"".join),
+    st.binary(min_size=512, max_size=520),
+)
+
+
+@st.composite
+def _wire_commands(draw):
+    """One command as encode_command renders it, or with its array header
+    or first element header spelled with a leading zero or sign."""
+    parts = draw(st.lists(_payloads, min_size=1, max_size=4))
+    wire = encode_command(*parts)
+    skew = draw(st.sampled_from([None, None, b"*0", b"$0", b"$+"]))
+    if skew is None:
+        return wire
+    head = wire.index(b"\r\n") + 2  # just past the array header
+    if skew == b"*0":
+        return b"*0" + wire[1:]
+    return wire[:head] + skew + wire[head + 1 :]
+
+
+_tails = st.sampled_from(
+    [
+        b"",
+        b"PING\r\n",  # inline command
+        b"*0\r\n",  # empty array
+        b"*1\r\n$-1\r\n",  # nil element
+        b"*1\r\n:1\r\n",  # element not a bulk
+        b"*2\r\n$3\r\nGET\n$1\r\nk\r\n",  # bare LF
+        b"*1\r\n$3\r\nabcd\r\n",  # payload longer than declared
+        b"*1024\r\n",  # count beyond split_commands' table
+    ]
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_wire_commands(), max_size=4), _tails)
+def test_split_commands_matches_parse_walk(commands, tail):
+    stream = b"".join(commands) + tail
+    # As the buffer's lines decide, then with every buffer split.
+    for short_line in (protocol._SHORT_LINE, len(stream) + 1):
+        with mock.patch.object(protocol, "_SHORT_LINE", short_line):
+            for cut in range(len(stream) + 1):
+                buf = stream[:cut]
+                assert _split_walk(buf) == _parse_walk(buf), cut
+
