@@ -16,7 +16,8 @@ Commands have one parser, parse_command, which works on a bytes buffer
 and reports a command the buffer holds only part of as the least length
 that can hold it. The bundled server frames a whole read with
 split_commands, which takes what commands it can from one CRLF split of
-the read and hands every other command to parse_command. Replies are
+the read's leading short lines and hands every other command to
+parse_command. Replies are
 read from a file object by read_reply, where EOF in the middle of a frame
 raises ConnectionLost.
 """
@@ -53,12 +54,16 @@ _BULK_LENGTHS = {header: n for n, header in enumerate(_BULK_HEADERS)}
 # the lengths, so nothing is added per length seen.
 _ARRAY_COUNTS = {header[:-2]: n for n, header in enumerate(_ARRAY_HEADERS) if n}
 _BULK_SIZES = {header[:-2]: n for n, header in enumerate(_BULK_HEADERS)}
-# The split reads every byte (about 1.3 ns each under CPython 3.11 on a
+# The split reads every byte (about 1.1 ns each under CPython 3.11 on a
 # 2-vCPU x86 host), where parse_command slices a payload by its declared
-# length without reading it, and a payload of 512 bytes or more goes to
-# parse_command anyway. So split_commands splits only a buffer whose
-# first _PROBE_BYTES average at most _SHORT_LINE bytes a line: there the
-# pieces frame a command in about half the time of parse_command.
+# length without reading it. So split_commands splits buf only up to its
+# first _PROBE_BYTES block whose lines average more than _SHORT_LINE
+# bytes, and walks the rest with parse_command. Framing 64 KiB reads of
+# one command shape, split against walk, crossed over at about 38 bytes
+# a line for 512-element HSETs of random-binary fields (the fields that
+# hold CRLF send their commands to parse_command) and at about 70 for
+# ASCII fields; SETs of values up to 511 bytes never crossed (0.77 at 78
+# bytes a line). _SHORT_LINE sits below the lowest crossover.
 _PROBE_BYTES = 1024
 _SHORT_LINE = 32
 
@@ -235,26 +240,25 @@ def split_commands(buf: bytes, commands: list) -> tuple[int, int]:
     no CRLF, since the split would have cut it short. The command where
     that stops (a payload holding CRLF or of 512 bytes or more, a header
     such as $05, a cut or malformed command) goes to parse_command, and
-    taking from the pieces resumes after it. A buffer of long lines is
-    walked with parse_command alone.
+    taking from the pieces resumes after it. The split stops at the first
+    block of long lines, and the commands from there on are walked with
+    parse_command alone.
     """
     size = len(buf)
     take = commands.append
-    pos = 0
-    if buf.count(b"\n", 0, _PROBE_BYTES) * _SHORT_LINE < min(size, _PROBE_BYTES):
-        while pos < size:
-            parts, end = parse_command(buf, pos)
-            if parts is None:
-                return pos, end
-            take(parts)
-            pos = end
-        return pos, 0
-    pieces = buf.split(CRLF)
+    parse = parse_command
+    # The split reaches to the first block of long lines.
+    at = 0
+    while at < size and buf.count(b"\n", at, at + _PROBE_BYTES) * _SHORT_LINE >= min(
+        size - at, _PROBE_BYTES
+    ):
+        at += _PROBE_BYTES
+    pieces = buf[:at].split(CRLF)
     last = len(pieces) - 1  # no command ends in the last piece
     counts = _ARRAY_COUNTS.get
     sizes = _BULK_SIZES.get
-    i = 0
-    while pos < size:
+    pos = i = 0
+    while i < last:
         start = i
         while (count := counts(pieces[i])) is not None:
             j = i + 1 + 2 * count
@@ -266,13 +270,20 @@ def split_commands(buf: bytes, commands: list) -> tuple[int, int]:
             take(parts)
             i = j
         pos += sum(map(len, pieces[start:i])) + 2 * (i - start)
-        if pos == size:
+        if i == last:
             break
-        parts, end = parse_command(buf, pos)
+        parts, end = parse(buf, pos)
         if parts is None:
             return pos, end
         take(parts)
-        # Every command ends just past a CRLF, so the pieces resume there.
-        i += buf.count(CRLF, pos, end)
+        # Every command ends just past a CRLF, so the pieces resume there,
+        # or run out if the command ends past them.
+        i += buf.count(CRLF, pos, min(end, at))
+        pos = end
+    while pos < size:
+        parts, end = parse(buf, pos)
+        if parts is None:
+            return pos, end
+        take(parts)
         pos = end
     return pos, 0

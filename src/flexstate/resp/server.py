@@ -11,14 +11,15 @@ are atomic and commands from one pipelined batch apply in order.
 
 Framing works on a buffer, not a file object: each connection recvs up to
 RECV_BYTES at a time, frames every complete command in what it holds with
-protocol.split_commands (at most one CRLF split per read; the commands
-it cannot take from the pieces go to protocol.parse_command), dispatches
-them in order, one at a time, and sends all their replies in one
-sendall. A command cut off by the end of a read is kept and completed by
-later reads; a bulk longer than one read is gathered until the length
-its header declares has arrived, so it is joined once. A malformed
-command is answered with "-ERR Protocol error: ..." after the replies to
-the commands before it in the same read, and the connection closes.
+protocol.split_commands (at most one CRLF split per read, up to its
+first block of long lines; the commands it cannot take from the pieces
+go to protocol.parse_command), dispatches them in order, one at a time,
+and sends all their replies in one sendall. A command cut off by the
+end of a read is kept and completed by later reads; a bulk longer than
+one read is gathered until the length its header declares has arrived,
+so it is joined once. A malformed command is answered with "-ERR
+Protocol error: ..." after the replies to the commands before it in the
+same read, and the connection closes.
 
 Integer arguments and stored counters are parsed as Redis's string2ll
 parses them: no "+", no spaces, no "_", no leading zero, within int64.

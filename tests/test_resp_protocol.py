@@ -262,9 +262,14 @@ _tails = st.sampled_from(
 @given(st.lists(_wire_commands(), max_size=4), _tails)
 def test_split_commands_matches_parse_walk(commands, tail):
     stream = b"".join(commands) + tail
-    # As the buffer's lines decide, then with every buffer split.
-    for short_line in (protocol._SHORT_LINE, len(stream) + 1):
-        with mock.patch.object(protocol, "_SHORT_LINE", short_line):
+    # As the buffer's lines decide; with the split ending at the first
+    # 8-byte block that holds no LF; and with no split at all.
+    for block, short_line in (
+        (protocol._PROBE_BYTES, protocol._SHORT_LINE),
+        (8, 8),
+        (protocol._PROBE_BYTES, len(stream) + 1),
+    ):
+        with mock.patch.multiple(protocol, _PROBE_BYTES=block, _SHORT_LINE=short_line):
             for cut in range(len(stream) + 1):
                 buf = stream[:cut]
                 assert _split_walk(buf) == _parse_walk(buf), cut
