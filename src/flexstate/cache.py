@@ -53,6 +53,7 @@ import time
 from dataclasses import dataclass, field
 
 from .api import _HANDLE_BY_TYPE
+from .config import check_flush_interval
 from .drivers.base import Driver, MutationBatch
 from .errors import (
     BackpressureSignal,
@@ -117,6 +118,7 @@ class CoreCache:
         backpressure_limit: int = DEFAULT_BACKPRESSURE_LIMIT,
         start_flusher: bool = True,
     ):
+        check_flush_interval(flush_interval_us)
         self.nf_id = nf_id
         self.instance_id = instance_id
         self.core_id = core_id
@@ -415,8 +417,6 @@ class Flusher:
         """The first boundary of deadline's interval grid after now."""
         interval = self.interval_s
         now = time.monotonic()
-        if interval <= 0:
-            return now
         return deadline + ((now - deadline) // interval + 1) * interval
 
     def tick_once(self) -> bool:

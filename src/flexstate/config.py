@@ -16,7 +16,7 @@ repeated keys the last statement wins.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import BadDuration, ConfigSyntaxError, MissingField, UnknownDriver
 from .keys import check_token
@@ -51,30 +51,18 @@ class FlexConfig:
             raise UnknownDriver(
                 f"driver {self.driver_label!r}; known: {sorted(drivers.known_labels())}"
             )
-        if (
-            not isinstance(self.flush_interval_us, int)
-            or isinstance(self.flush_interval_us, bool)
-            or self.flush_interval_us <= 0
-        ):
-            raise BadDuration(
-                f"flush interval must be a positive integer of microseconds, "
-                f"got {self.flush_interval_us!r}"
-            )
+        check_flush_interval(self.flush_interval_us)
         parse_endpoint(self.endpoint)
         return self
 
-    def with_overrides(self, **kw) -> "FlexConfig":
-        return replace(self, **kw)
 
-    def to_text(self) -> str:
-        lines = [
-            f"NF id: {self.nf_id};",
-            f"NF instance id: {self.instance_id};",
-            f"driver: {self.driver_label};",
-            f"endpoint: {self.endpoint};",
-            f"flush interval us: {self.flush_interval_us};",
-        ]
-        return "\n".join(lines) + "\n"
+def check_flush_interval(interval_us) -> None:
+    """Refuse a flush interval that is not a positive int of microseconds."""
+    if type(interval_us) is not int or interval_us <= 0:  # a bool is refused
+        raise BadDuration(
+            f"flush interval must be a positive integer of microseconds, "
+            f"got {interval_us!r}"
+        )
 
 
 def parse_endpoint(endpoint: str) -> tuple[str, int] | None:

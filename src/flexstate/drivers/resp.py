@@ -291,7 +291,8 @@ class RespDriver(Driver):
         reply = session.exchange(
             [protocol.encode_command(b"KEYS", pattern.encode("ascii"))]
         )[0]
-        keys = [parse_key(raw.decode("ascii")) for raw in reply]
+        # latin-1 takes any byte, so parse_key refuses a non-ASCII key too.
+        keys = [parse_key(raw.decode("latin-1")) for raw in reply]
         keys.sort(key=StoreKey.render)
         commands = [self._fetch_command(key) for key in keys]
         replies = session.exchange(commands) if commands else []

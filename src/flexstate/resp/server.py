@@ -1,9 +1,8 @@
 """Bundled wire-compatible mini server.
 
-Speaks the RESP2 subset the resp driver emits: SET GET DEL INCRBY HSET
-HDEL HINCRBY HGETALL SADD SREM SMEMBERS RPUSH LRANGE KEYS FLUSHALL, plus
-HGET, LLEN and PING, which the driver never sends and are kept for tests.
-HSET takes one or more field/value pairs and returns how many
+Speaks exactly the RESP2 subset the resp driver emits: SET GET DEL
+INCRBY HSET HDEL HINCRBY HGETALL SADD SREM SMEMBERS RPUSH LRANGE KEYS
+FLUSHALL. HSET takes one or more field/value pairs and returns how many
 fields were new, as Redis does since 4.0; the driver groups a flush's
 same-key map writes into one such command. One thread per connection;
 every command executes under a single data lock, so individual commands
@@ -82,6 +81,18 @@ def _int_arg(raw: bytes) -> int:
     if value is None:
         raise _Reply(_NOT_INT)
     return value
+
+
+def _increment(store: dict, slot: bytes, delta: int, not_int: str) -> bytes:
+    """INCRBY and HINCRBY: store[slot] (absent is 0) plus delta, checked as Redis does."""
+    current = _strict_int(store.get(slot, b"0"))
+    if current is None:
+        raise _Reply(not_int)
+    value = current + delta
+    if not INT64_MIN <= value <= INT64_MAX:
+        raise _Reply(_OVERFLOW)
+    store[slot] = b"%d" % value
+    return protocol.encode_integer(value)
 
 
 class MiniRespServer:
@@ -245,10 +256,19 @@ class MiniRespServer:
             raise _Reply(_WRONGTYPE)
         return value
 
-    def _cmd_ping(self, args: list[bytes]) -> bytes:
-        if args:
-            return protocol.encode_bulk(args[0])
-        return protocol.encode_simple(b"PONG")
+    def _remove(self, args: list[bytes], want: type, remove) -> bytes:
+        """HDEL and SREM: args[1:] out of the want at args[0], emptied key and all."""
+        key = args[0]
+        value = self._typed(key, want)
+        removed = 0
+        if value is not None:
+            for entry in args[1:]:
+                if entry in value:
+                    remove(value, entry)
+                    removed += 1
+            if not value:
+                del self._db[key]
+        return protocol.encode_integer(removed)
 
     def _cmd_set(self, args: list[bytes]) -> bytes:
         self._db[args[0]] = args[1]
@@ -266,15 +286,8 @@ class MiniRespServer:
 
     def _cmd_incrby(self, args: list[bytes]) -> bytes:
         key, delta = args[0], _int_arg(args[1])
-        raw = self._typed(key, bytes)
-        current = 0 if raw is None else _strict_int(raw)
-        if current is None:
-            raise _Reply(_NOT_INT)
-        value = current + delta
-        if not INT64_MIN <= value <= INT64_MAX:
-            raise _Reply(_OVERFLOW)
-        self._db[key] = b"%d" % value
-        return protocol.encode_integer(value)
+        self._typed(key, bytes)  # WRONGTYPE for a collection
+        return _increment(self._db, key, delta, _NOT_INT)
 
     def _cmd_hset(self, args: list[bytes]) -> bytes:
         if len(args) % 2 == 0:
@@ -284,38 +297,15 @@ class MiniRespServer:
         h.update(zip(args[1::2], args[2::2]))
         return protocol.encode_integer(len(h) - before)
 
-    def _cmd_hget(self, args: list[bytes]) -> bytes:
-        h = self._typed(args[0], dict)
-        return protocol.encode_bulk(None if h is None else h.get(args[1]))
-
     def _cmd_hdel(self, args: list[bytes]) -> bytes:
-        key = args[0]
-        h = self._typed(key, dict)
-        removed = 0
-        if h is not None:
-            for field in args[1:]:
-                if field in h:
-                    del h[field]
-                    removed += 1
-            if not h:
-                del self._db[key]
-        return protocol.encode_integer(removed)
+        return self._remove(args, dict, dict.pop)
 
     def _cmd_hincrby(self, args: list[bytes]) -> bytes:
-        key, field, delta = args[0], args[1], _int_arg(args[2])
-        h = self._typed(key, dict, True)
-        current = _strict_int(h.get(field, b"0"))
-        if current is None:
-            if not h:
-                del self._db[key]
-            raise _Reply(_HASH_NOT_INT)
-        value = current + delta
-        if not INT64_MIN <= value <= INT64_MAX:
-            if not h:
-                del self._db[key]
-            raise _Reply(_OVERFLOW)
-        h[field] = b"%d" % value
-        return protocol.encode_integer(value)
+        # Parsed before the hash is made, as Redis does. A hash made here has
+        # no field, so 0 plus delta cannot be refused and leave it empty.
+        delta = _int_arg(args[2])
+        h = self._typed(args[0], dict, True)
+        return _increment(h, args[1], delta, _HASH_NOT_INT)
 
     def _cmd_hgetall(self, args: list[bytes]) -> bytes:
         h = self._typed(args[0], dict)
@@ -328,25 +318,12 @@ class MiniRespServer:
 
     def _cmd_sadd(self, args: list[bytes]) -> bytes:
         s = self._typed(args[0], set, True)
-        added = 0
-        for member in args[1:]:
-            if member not in s:
-                s.add(member)
-                added += 1
-        return protocol.encode_integer(added)
+        before = len(s)
+        s.update(args[1:])
+        return protocol.encode_integer(len(s) - before)
 
     def _cmd_srem(self, args: list[bytes]) -> bytes:
-        key = args[0]
-        s = self._typed(key, set)
-        removed = 0
-        if s is not None:
-            for member in args[1:]:
-                if member in s:
-                    s.discard(member)
-                    removed += 1
-            if not s:
-                del self._db[key]
-        return protocol.encode_integer(removed)
+        return self._remove(args, set, set.remove)
 
     def _cmd_smembers(self, args: list[bytes]) -> bytes:
         s = self._typed(args[0], set)
@@ -371,10 +348,6 @@ class MiniRespServer:
             return protocol.encode_array([])
         return protocol.encode_array(lst[start : min(stop, n - 1) + 1])
 
-    def _cmd_llen(self, args: list[bytes]) -> bytes:
-        lst = self._typed(args[0], list)
-        return protocol.encode_integer(0 if lst is None else len(lst))
-
     def _cmd_keys(self, args: list[bytes]) -> bytes:
         pattern = args[0].decode("latin-1")
         matches = [
@@ -393,13 +366,11 @@ class MiniRespServer:
 # unbounded). Keyed by the upper-case wire bytes, so a command sent in
 # upper case, as the driver sends it, is found without a decode.
 _COMMANDS = {
-    b"PING": (MiniRespServer._cmd_ping, 0, 1),
     b"SET": (MiniRespServer._cmd_set, 2, 2),
     b"GET": (MiniRespServer._cmd_get, 1, 1),
     b"DEL": (MiniRespServer._cmd_del, 1, None),
     b"INCRBY": (MiniRespServer._cmd_incrby, 2, 2),
     b"HSET": (MiniRespServer._cmd_hset, 3, None),
-    b"HGET": (MiniRespServer._cmd_hget, 2, 2),
     b"HDEL": (MiniRespServer._cmd_hdel, 2, None),
     b"HINCRBY": (MiniRespServer._cmd_hincrby, 3, 3),
     b"HGETALL": (MiniRespServer._cmd_hgetall, 1, 1),
@@ -408,7 +379,6 @@ _COMMANDS = {
     b"SMEMBERS": (MiniRespServer._cmd_smembers, 1, 1),
     b"RPUSH": (MiniRespServer._cmd_rpush, 2, None),
     b"LRANGE": (MiniRespServer._cmd_lrange, 3, 3),
-    b"LLEN": (MiniRespServer._cmd_llen, 1, 1),
     b"KEYS": (MiniRespServer._cmd_keys, 1, 1),
     b"FLUSHALL": (MiniRespServer._cmd_flushall, 0, 0),
 }

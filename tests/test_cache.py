@@ -29,6 +29,7 @@ from flexstate.drivers import (
 )
 from flexstate.errors import (
     BackpressureSignal,
+    BadDuration,
     ConnectionLost,
     StoreUnavailable,
     TypeConflict,
@@ -1003,6 +1004,12 @@ def test_nowait_after_idle_reaches_store_within_three_intervals():
             assert time.monotonic() - t0 < 3 * interval_s
             time.sleep(0.001)
     cache.drain()
+
+
+@pytest.mark.parametrize("interval_us", [0, -5, True])
+def test_flush_interval_that_config_refuses_is_refused(interval_us):
+    with pytest.raises(BadDuration):
+        make_cache(flush_interval_us=interval_us)
 
 
 def test_drain_of_parked_flusher_is_prompt():

@@ -1,9 +1,8 @@
-"""Operator configuration: parsing, validation, overrides."""
+"""Operator configuration: parsing and validation."""
 
 import pytest
 
 from flexstate.config import (
-    FlexConfig,
     load_config,
     parse_config,
     parse_endpoint,
@@ -108,26 +107,6 @@ def test_endpoint_parsing():
         parse_endpoint("host:0")
     with pytest.raises(ConfigSyntaxError):
         parse_endpoint("host:notaport")
-
-
-def test_with_overrides():
-    cfg = parse_config(FULL)
-    out = cfg.with_overrides(driver_label="tablestore", flush_interval_us=250)
-    assert out.driver_label == "tablestore"
-    assert out.flush_interval_us == 250
-    # Original is untouched.
-    assert cfg.driver_label == "flatkvs"
-
-
-def test_to_text_round_trip():
-    cfg = FlexConfig(
-        nf_id="nfX",
-        instance_id="insY",
-        driver_label="resp",
-        endpoint="127.0.0.1:7000",
-        flush_interval_us=2000,
-    )
-    assert parse_config(cfg.to_text()) == cfg
 
 
 def test_load_config(tmp_path):

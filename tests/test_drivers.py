@@ -45,6 +45,7 @@ from flexstate.errors import (
 from flexstate.keys import StructureType, build_key
 from flexstate.nf.combine import combine_counters
 from flexstate.resp import protocol
+import flexstate.resp.server as server_mod
 from flexstate.resp.server import MiniRespServer
 from flexstate.testing import (
     ModelStore,
@@ -540,6 +541,18 @@ def test_resp_wrongtype_reply_raises_and_leaves_session_in_step(mini_server):
         assert s.reconnects == 1
 
 
+@pytest.mark.parametrize("structure_id", [b"a b", b"\xff"])
+def test_resp_scan_refuses_a_foreign_key_outside_the_grammar(mini_server, structure_id):
+    # Another client wrote a key that render cannot produce, ASCII or not:
+    # the scan refuses it with a StateError.
+    drv = make_driver("resp", mini_server.endpoint)
+    with drv.connect() as foreign, drv.connect() as s:
+        key = b"nf1@ins1@0@Counter@" + structure_id
+        foreign.exchange([protocol.encode_command(b"SET", key, b"1")])
+        with pytest.raises(StateError):
+            s.scan_prefix("nf1", "ins1")
+
+
 class CountingRespServer(MiniRespServer):
     def __init__(self):
         super().__init__()
@@ -561,6 +574,33 @@ def test_resp_map_flush_groups_fields_per_command():
             assert s.fetch(K_MAP) is None
     assert sent <= math.ceil(n / _GROUP_MAX)
     assert len(server.commands) <= 2 * math.ceil(n / _GROUP_MAX) + 1
+
+
+def test_resp_driver_sends_every_command_the_server_knows():
+    # The bundled server carries exactly the commands the driver sends:
+    # all nine mutation kinds, a fetch of each type, a scan and a wipe.
+    k_gone = build_key("nf1", "ins1", 1, StructureType.NAME_VALUE, "gone")
+    items = [
+        (K_NV, set_blob(b"v")),
+        (k_gone, delete()),
+        (K_COUNTER, incr(3)),
+        (K_MAP, map_set(b"a", b"1")),
+        (K_MAP, map_del(b"b")),
+        (K_CMAP, map_incr(b"f", 2)),
+        (K_LIST, list_append(b"x")),
+        (K_SET, set_add(b"m")),
+        (K_SET, set_del(b"n")),
+    ]
+    assert {m.kind for _, m in items} == set(resp_mod._COMMANDS)
+    with CountingRespServer() as server:
+        drv = make_driver("resp", server.endpoint)
+        with drv.connect() as s:
+            apply_items(s, items)
+            for key in (K_NV, K_COUNTER, K_MAP, K_CMAP, K_LIST, K_SET):
+                assert s.fetch(key) is not None
+            assert len(s.scan_prefix("nf1", "ins1")) == 6
+            drv.wipe(s)
+    assert set(server.commands) == set(server_mod._COMMANDS)
 
 
 def test_resp_grouping_keeps_order_and_singles():

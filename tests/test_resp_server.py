@@ -38,10 +38,6 @@ def assert_error(reply, fragment):
     assert fragment in reply.message
 
 
-def test_ping(client):
-    assert client.call(b"PING") == b"PONG"
-
-
 def test_set_get_del(client):
     assert client.call(b"SET", b"k", b"v") == b"OK"
     assert client.call(b"GET", b"k") == b"v"
@@ -91,7 +87,7 @@ def test_increment_argument_outside_int64_refused(client, delta):
         assert isinstance(reply, RespError)
         assert reply.message == "ERR value is not an integer or out of range"
     assert client.call(b"GET", b"c") == b"-5"
-    assert client.call(b"HGET", b"h", b"f") == b"-5"
+    assert client.call(b"HGETALL", b"h") == [b"f", b"-5"]
     assert client.call(b"KEYS", b"fresh") == []
     limit = str(2**63 - 1).encode()
     assert client.call(b"INCRBY", b"c", limit) == 2**63 - 6
@@ -108,8 +104,6 @@ def test_wrongtype(client):
 def test_hash_commands(client):
     assert client.call(b"HSET", b"h", b"f", b"v") == 1
     assert client.call(b"HSET", b"h", b"f", b"w") == 0
-    assert client.call(b"HGET", b"h", b"f") == b"w"
-    assert client.call(b"HGET", b"h", b"nope") is None
     assert client.call(b"HGETALL", b"h") == [b"f", b"w"]
     assert client.call(b"HDEL", b"h", b"f") == 1
     # Empty hash disappears entirely.
@@ -138,7 +132,7 @@ def test_hset_unpaired_field_is_arity_error(client):
 def test_hincrby(client):
     assert client.call(b"HINCRBY", b"h", b"f", b"7") == 7
     assert client.call(b"HINCRBY", b"h", b"f", b"-7") == 0
-    assert client.call(b"HGET", b"h", b"f") == b"0"
+    assert client.call(b"HGETALL", b"h") == [b"f", b"0"]
     client.call(b"HSET", b"h", b"g", b"xyz")
     assert_error(client.call(b"HINCRBY", b"h", b"g", b"1"), "not an integer")
 
@@ -159,13 +153,11 @@ def test_set_commands(client):
 def test_list_commands(client):
     assert client.call(b"RPUSH", b"L", b"a") == 1
     assert client.call(b"RPUSH", b"L", b"b", b"c") == 3
-    assert client.call(b"LLEN", b"L") == 3
     assert client.call(b"LRANGE", b"L", b"0", b"-1") == [b"a", b"b", b"c"]
     assert client.call(b"LRANGE", b"L", b"1", b"1") == [b"b"]
     assert client.call(b"LRANGE", b"L", b"-2", b"-1") == [b"b", b"c"]
     assert client.call(b"LRANGE", b"L", b"5", b"9") == []
     assert client.call(b"LRANGE", b"L", b"0", b"-5") == []
-    assert client.call(b"LLEN", b"missing") == 0
     assert client.call(b"LRANGE", b"missing", b"0", b"-1") == []
 
 
@@ -188,7 +180,7 @@ def test_flushall(client):
 def test_arity_errors(client):
     assert_error(client.call(b"SET", b"k"), "wrong number of arguments")
     assert_error(client.call(b"GET"), "wrong number of arguments")
-    assert_error(client.call(b"PING", b"x", b"y"), "wrong number of arguments")
+    assert_error(client.call(b"INCRBY", b"c", b"1", b"2"), "wrong number of arguments")
 
 
 def test_unknown_command(client):
@@ -308,7 +300,7 @@ def test_integer_arguments_redis_refuses_are_refused(client, command):
     assert isinstance(reply, RespError)
     assert reply.message == _NOT_INT
     assert client.call(b"GET", b"c") == b"10"
-    assert client.call(b"HGET", b"h", b"f") == b"1"
+    assert client.call(b"HGETALL", b"h") == [b"f", b"1"]
 
 
 def test_stored_value_redis_refuses_is_not_a_counter(client):
@@ -321,7 +313,7 @@ def test_stored_value_redis_refuses_is_not_a_counter(client):
     reply = client.call(b"HINCRBY", b"h", b"f", b"1")
     assert isinstance(reply, RespError)
     assert reply.message == "ERR hash value is not an integer"
-    assert client.call(b"HGET", b"h", b"f") == b"+5"
+    assert client.call(b"HGETALL", b"h") == [b"f", b"+5"]
 
 
 def test_integer_spellings_redis_accepts(client):
@@ -338,7 +330,8 @@ def test_integer_spellings_redis_accepts(client):
 
 def _framing_stream():
     """One pipelined stream, as its commands' wire bytes and their replies:
-    a 256-pair HSET whose binary fields hold CRLF, among INCRBYs."""
+    a 256-pair HSET whose binary fields hold CRLF, among INCRBYs, then
+    the hash read back whole."""
     fields = [b"\r\n%d\x00\r" % i for i in range(256)]
     hset = [b"HSET", b"h"]
     for i, f in enumerate(fields):
@@ -347,9 +340,11 @@ def _framing_stream():
     commands += [(b"INCRBY", b"c", b"%d" % i) for i in range(1, 4)]
     commands += [tuple(hset)]
     commands += [(b"INCRBY", b"c", b"%d" % i) for i in range(4, 7)]
-    commands += [(b"HGET", b"h", fields[200])]
+    commands += [(b"HGETALL", b"h")]
     replies = [b"+OK\r\n", b":1\r\n", b":3\r\n", b":6\r\n", b":256\r\n"]
-    replies += [b":10\r\n", b":15\r\n", b":21\r\n", b"$6\r\nv\r\n200\r\n"]
+    replies += [b":10\r\n", b":15\r\n", b":21\r\n"]
+    bulks = b"".join(b"$%d\r\n%s\r\n" % (len(part), part) for part in hset[2:])
+    replies += [b"*512\r\n" + bulks]
     return [encode_command(*c) for c in commands], replies
 
 
@@ -410,13 +405,13 @@ def test_multi_mib_value_round_trip(client):
     assert client.call(b"SET", b"big", value) == b"OK"
     assert client.call(b"GET", b"big") == value
     assert client.call(b"HSET", b"h", b"f", value, b"g", b"1") == 2
-    assert client.call(b"HGET", b"h", b"f") == value
+    assert client.call(b"HGETALL", b"h") == [b"f", value, b"g", b"1"]
 
 
 def test_drop_connections_ends_every_serving_thread(mini_server):
     clients = [Client(mini_server.port) for _ in range(3)]
     for c in clients:
-        assert c.call(b"PING") == b"PONG"
+        assert c.call(b"SET", b"k", b"v") == b"OK"
     # One connection holds a cut command, one a cut bulk payload.
     clients[1].sock.sendall(b"*2\r\n$3\r\nGET\r\n")
     clients[2].sock.sendall(b"*2\r\n$3\r\nGET\r\n$100\r\nabc")
@@ -429,5 +424,32 @@ def test_drop_connections_ends_every_serving_thread(mini_server):
     for c in clients:
         c.close()
     c = Client(mini_server.port)
-    assert c.call(b"PING") == b"PONG"
+    assert c.call(b"GET", b"k") == b"v"
     c.close()
+
+
+def test_variadic_writes_count_each_entry_once(client):
+    assert client.call(b"SADD", b"s", b"a", b"a", b"b") == 2
+    assert client.call(b"SREM", b"s", b"a", b"a", b"zz") == 1
+    assert client.call(b"HSET", b"h", b"f", b"1", b"g", b"2") == 2
+    assert client.call(b"HDEL", b"h", b"f", b"f", b"zz") == 1
+    assert client.call(b"HDEL", b"h", b"g") == 1
+    assert client.call(b"SREM", b"s", b"b") == 1
+    assert client.call(b"KEYS", b"*") == []  # both emptied keys went
+
+
+def test_argument_is_checked_before_the_key_type(client):
+    # As Redis: a refused integer argument wins over WRONGTYPE, and
+    # WRONGTYPE wins before anything is counted or written.
+    client.call(b"RPUSH", b"L", b"x")
+    assert client.call(b"INCRBY", b"L", b"x").message == _NOT_INT
+    assert client.call(b"HINCRBY", b"L", b"f", b"x").message == _NOT_INT
+    for command in (
+        (b"INCRBY", b"L", b"1"),
+        (b"HINCRBY", b"L", b"f", b"1"),
+        (b"HDEL", b"L", b"x"),
+        (b"SREM", b"L", b"x"),
+        (b"SADD", b"L", b"x"),
+    ):
+        assert_error(client.call(*command), "WRONGTYPE")
+    assert client.call(b"LRANGE", b"L", b"0", b"-1") == [b"x"]
