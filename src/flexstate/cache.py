@@ -75,15 +75,27 @@ def _retry(deadline: float, call, *args):
     """call(*args), retried with exponential backoff after each
     ConnectionLost; the last one is re-raised once the next try would
     start past deadline (a time.monotonic() value)."""
+    try:
+        return call(*args)
+    except ConnectionLost as exc:
+        lost = exc
+    return _retry_after(lost, deadline, call, *args)
+
+
+def _retry_after(lost: ConnectionLost, deadline: float, call, *args):
+    """_retry's schedule once call(*args) has raised lost: wait
+    RETRY_BASE_S, try again, and double the wait after each further
+    ConnectionLost up to RETRY_CAP_S. The last ConnectionLost is re-raised
+    once the next try would start past deadline."""
     delay = RETRY_BASE_S
-    while True:
+    while time.monotonic() + delay <= deadline:
+        time.sleep(delay)
+        delay = min(delay * 2, RETRY_CAP_S)
         try:
             return call(*args)
-        except ConnectionLost:
-            if time.monotonic() + delay > deadline:
-                raise
-            time.sleep(delay)
-            delay = min(delay * 2, RETRY_CAP_S)
+        except ConnectionLost as exc:
+            lost = exc
+    raise lost
 
 
 @dataclass
@@ -231,13 +243,20 @@ class CoreCache:
                 raise StoreUnavailable(
                     f"timed out waiting for in-flight flush, mutations kept in {path}"
                 )
+        # The first try goes straight to the driver: _retry's call and
+        # argument packing would be paid on every round trip.
+        session = self.worker_session
+        apply = session.driver.apply
         try:
-            _retry(deadline, self.worker_session.apply, batch)
-        except ConnectionLost as exc:
-            path = self._dump_batch(batch)
-            raise StoreUnavailable(
-                f"waiting call failed, mutations kept in {path}: {exc}"
-            ) from exc
+            apply(session, batch)
+        except ConnectionLost as lost:
+            try:
+                _retry_after(lost, deadline, apply, session, batch)
+            except ConnectionLost as exc:
+                path = self._dump_batch(batch)
+                raise StoreUnavailable(
+                    f"waiting call failed, mutations kept in {path}: {exc}"
+                ) from exc
         self.stats.sync_flushes += 1
 
     # Flusher side.

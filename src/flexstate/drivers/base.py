@@ -200,8 +200,11 @@ class Driver:
         return DriverSession(self, session_id, inject_latency_us)
 
     def apply(self, session: DriverSession, batch: MutationBatch) -> None:
-        self._check_open(session)
-        self._pause(session)
+        # _check_open and _pause spelled out: each waiting call runs this.
+        if session.closed:
+            raise ConnectionLost("session is closed")
+        if session.inject_latency_s:
+            time.sleep(session.inject_latency_s)
         if batch.seq == UNSET_SEQ:
             batch.seq = session.next_seq()
         self._apply(session, batch)

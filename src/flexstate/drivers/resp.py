@@ -35,7 +35,14 @@ kind per command in flight.
 Error replies are raised in one place, exchange, for batches, fetches,
 scans and wipes alike, and only once every reply of their pipelined
 chunk has been read, so the next exchange starts on a reply boundary. A
-batch the store failed that way is left whole.
+batch the store failed that way is left whole. A reply the parser
+refuses (ProtocolError) leaves the stream inside a frame, so exchange
+drops the link before it raises and the next exchange reconnects.
+
+A batch of one mutation, which is what a waiting call on a structure
+with nothing else pending sends, encodes without the argument list a run
+needs, and its one command goes out and back without the chunk loop:
+one sendall, one read_reply.
 
 Timeouts are the kernel's: a connected socket is blocking, with
 SO_RCVTIMEO and SO_SNDTIMEO set to _IO_TIMEOUT_S. A Python-level socket
@@ -106,13 +113,14 @@ def _encode_batch(items: list) -> tuple[list[bytes], list[int]]:
     """Commands for a batch's mutations, in batch order, and where each
     starts: starts[k] is the index of the first item command k carries.
     """
+    encode = protocol.encode_command
     commands = []
     starts = []
     n = len(items)
     i = 0
     while i < n:
         key, m = items[i]
-        kind = m.kind
+        kind, field, value = m
         name = _COMMANDS.get(kind)
         if name is None:
             raise ProtocolError(f"unknown mutation kind {kind!r}")
@@ -124,13 +132,27 @@ def _encode_batch(items: list) -> tuple[list[bytes], list[int]]:
                 if other.kind != kind or (other_key is not key and other_key != key):
                     break
                 j += 1
-        args = [name, key.encoded]
-        for _k, (_kind, field, value) in items[i:j]:
-            if field is not None:
-                args.append(field)
-            if value is not None:
-                args.append(b"%d" % value if isinstance(value, int) else value)
-        commands.append(protocol.encode_command(*args))
+        if j == i + 1:
+            # A run of one, as in a waiting call's batch: no argument list.
+            if isinstance(value, int):
+                value = b"%d" % value
+            if field is None:
+                if value is None:
+                    commands.append(encode(name, key.encoded))
+                else:
+                    commands.append(encode(name, key.encoded, value))
+            elif value is None:
+                commands.append(encode(name, key.encoded, field))
+            else:
+                commands.append(encode(name, key.encoded, field, value))
+        else:
+            args = [name, key.encoded]
+            for _k, (_kind, field, value) in items[i:j]:
+                if field is not None:
+                    args.append(field)
+                if value is not None:
+                    args.append(b"%d" % value if isinstance(value, int) else value)
+            commands.append(encode(*args))
         starts.append(i)
         i = j
     return commands, starts
@@ -159,7 +181,10 @@ class RespSession(DriverSession):
         sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDTIMEO, timeval)
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._sock = sock
-        self._reader = sock.makefile("rb")
+        # A buffered reader straight on the descriptor: makefile's reader
+        # fills its buffer through SocketIO.readinto, a Python frame per
+        # recv. The socket keeps the descriptor and closes it.
+        self._reader = open(sock.fileno(), "rb", closefd=False)
         self.reconnects += 1
 
     def drop_link(self) -> None:
@@ -180,9 +205,11 @@ class RespSession(DriverSession):
         """Pipeline commands in chunks; return one reply per command.
 
         The first error reply of a chunk is raised (as TypeConflict,
-        Overflow or ProtocolError) once the whole chunk has been read.
-        A lost link sets answered to the number of commands answered
-        before the first error reply, then raises ConnectionLost.
+        Overflow or ProtocolError) once the whole chunk has been read,
+        and no later chunk is sent. A lost link sets answered to the
+        number of commands answered before the first error reply, then
+        raises ConnectionLost. A malformed reply drops the link, then
+        raises its ProtocolError.
         """
         if self._sock is None:
             self.answered = 0
@@ -193,20 +220,31 @@ class RespSession(DriverSession):
         replies = []
         n = len(commands)
         try:
-            for start in range(0, n, _PIPELINE):
-                chunk = commands if n <= _PIPELINE else commands[start : start + _PIPELINE]
-                sock.sendall(b"".join(chunk))
-                for _ in chunk:
-                    replies.append(read_reply(reader))
-                for reply in replies[start:]:
-                    if isinstance(reply, RespError):
-                        _raise_reply(reply)
+            if n == 1:
+                # A lone command, as a fetch or a waiting call sends.
+                sock.sendall(commands[0])
+                replies.append(read_reply(reader))
+            else:
+                for start in range(0, n, _PIPELINE):
+                    chunk = commands if n <= _PIPELINE else commands[start : start + _PIPELINE]
+                    sock.sendall(b"".join(chunk))
+                    for _ in chunk:
+                        replies.append(read_reply(reader))
+                    if RespError in map(type, replies[start:]):
+                        break  # no chunk goes out after a refusal
         except (OSError, ConnectionLost) as exc:
             what = "timed out" if self._stalled(exc) else "failed"
             refused = [i for i, reply in enumerate(replies) if isinstance(reply, RespError)]
             self.answered = refused[0] if refused else len(replies)
             self.drop_link()
             raise ConnectionLost(f"store connection {what}: {exc}") from exc
+        except ProtocolError:
+            # A malformed reply leaves the stream off a frame boundary: the
+            # next exchange must not read the rest of it as its own reply.
+            self.drop_link()
+            raise
+        if RespError in map(type, replies):
+            _raise_reply(next(r for r in replies if type(r) is RespError))
         return replies
 
     def _stalled(self, exc: Exception) -> bool:

@@ -66,13 +66,15 @@ def _strict_int(raw: bytes) -> int | None:
     """raw as an int64 if it is spelled as Redis's string2ll accepts: an
     optional "-", then ASCII digits with no leading zero unless the value
     is 0 itself. None for anything else: "+", spaces and "_" included."""
-    digits = raw[1:] if raw[:1] == b"-" else raw
-    if not digits.isdigit() or len(digits) > 19 or (digits[0] == 48 and raw != b"0"):
-        return None  # 48 is "0"
-    value = int(digits)
-    if raw[0] == 45:  # 45 is "-"
-        value = -value
-    return value if INT64_MIN <= value <= INT64_MAX else None
+    try:
+        value = int(raw)
+    except ValueError:
+        return None
+    # int also takes "+", spaces, "_" and leading zeros: only the
+    # canonical spelling of value is accepted.
+    if b"%d" % value != raw or not INT64_MIN <= value <= INT64_MAX:
+        return None
+    return value
 
 
 def _int_arg(raw: bytes) -> int:
@@ -212,7 +214,9 @@ class MiniRespServer:
                     replies.append(protocol.encode_error(f"ERR Protocol error: {exc}"))
                     conn.sendall(b"".join(replies))
                     return
-                if commands:
+                if len(commands) == 1:
+                    conn.sendall(dispatch(commands[0]))
+                elif commands:
                     conn.sendall(b"".join(map(dispatch, commands)))
                 if pos == size:
                     held, size, need = [], 0, 0
@@ -239,11 +243,14 @@ class MiniRespServer:
         argc = len(command) - 1
         if argc < lo or (hi is not None and argc > hi):
             return protocol.encode_error(_arity_error(command[0].decode("ascii")))
-        with self._data_lock:
-            try:
-                return handler(self, command[1:])
-            except _Reply as exc:
-                return protocol.encode_error(exc.message)
+        lock = self._data_lock
+        lock.acquire()  # a with block's __enter__/__exit__ calls cost more
+        try:
+            return handler(self, command[1:])
+        except _Reply as exc:
+            return protocol.encode_error(exc.message)
+        finally:
+            lock.release()
 
     def _typed(self, key: bytes, want: type, create: bool = False):
         """The value at key, checked to be a want; absent is None, or a

@@ -9,8 +9,10 @@ import socket
 import struct
 import threading
 import time
+from unittest import mock
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from flexstate.drivers import (
     MutationBatch,
@@ -28,7 +30,7 @@ from flexstate.drivers import (
     set_del,
 )
 from flexstate.api import StateContext
-from flexstate.cache import CoreCache
+from flexstate.cache import RETRY_BASE_S, CoreCache
 from flexstate.config import FlexConfig
 from flexstate.drivers.base import UNSET_SEQ, Mutation
 import flexstate.drivers.resp as resp_mod
@@ -37,12 +39,14 @@ from flexstate.errors import (
     ConfigSyntaxError,
     ConnectionLost,
     Overflow,
+    ProtocolError,
     StateError,
     StoreUnavailable,
     TypeConflict,
     UnknownDriver,
 )
 from flexstate.keys import StructureType, build_key
+from flexstate.limits import INT64_MAX, INT64_MIN
 from flexstate.nf.combine import combine_counters
 from flexstate.resp import protocol
 import flexstate.resp.server as server_mod
@@ -603,6 +607,82 @@ def test_resp_driver_sends_every_command_the_server_knows():
     assert set(server.commands) == set(server_mod._COMMANDS)
 
 
+def waiting_cache(server):
+    cache = CoreCache("nf1", "ins1", 0, make_driver("resp", server.endpoint), start_flusher=False)
+    return cache, StateContext(cache)
+
+
+def test_resp_waiting_call_dispatches_one_command():
+    with CountingRespServer() as server:
+        cache, ctx = waiting_cache(server)
+        counter = ctx.create_counter("c")
+        table = ctx.create_map("m")
+        hits = ctx.create_counter_map("cm")
+        members = ctx.create_set("s")
+        items = ctx.create_list("l")
+        calls = [
+            (lambda: counter.add(2), b"INCRBY"),
+            (lambda: counter.set(7), b"SET"),
+            (lambda: table.insert(b"k", b"v"), b"HSET"),
+            (lambda: table.remove(b"k"), b"HDEL"),
+            (lambda: hits.add_to(b"f", 1), b"HINCRBY"),
+            (lambda: members.insert(b"x"), b"SADD"),
+            (lambda: members.remove(b"x"), b"SREM"),
+            (lambda: items.push_back(b"x"), b"RPUSH"),
+            (lambda: counter.delete(), b"DEL"),
+        ]
+        for call, name in calls:
+            before = len(server.commands)
+            call()
+            assert server.commands[before:] == [name]
+        assert cache.worker_session.reconnects == 1
+        cache.drain()
+
+
+def test_resp_refused_waiting_call_keeps_the_session():
+    # A store refusal is a whole reply: the link stays on a frame boundary
+    # and the next waiting call goes out on it.
+    with CountingRespServer() as server:
+        cache, ctx = waiting_cache(server)
+        counter = ctx.create_counter("c")
+        table = ctx.create_map("m")
+        with make_driver("resp", server.endpoint).connect() as foreign:
+            foreign.exchange([protocol.encode_command(b"SET", counter.key.encoded, b"abc")])
+        with pytest.raises(TypeConflict):
+            counter.add(1)
+        assert server.commands[-1] == b"INCRBY"
+        table.insert(b"k", b"v")
+        assert server.commands[-1] == b"HSET"
+        assert cache.worker_session.reconnects == 1
+        assert server._db[table.key.encoded] == {b"k": b"v"}
+        assert cache.stats.sync_flushes == 1
+        cache.drain()
+
+
+def test_resp_waiting_call_backs_off_before_its_retry(monkeypatch):
+    # A waiting call whose link was dropped retries on _retry's schedule:
+    # the first retry waits RETRY_BASE_S.
+    with CountingRespServer() as server:
+        cache, ctx = waiting_cache(server)
+        counter = ctx.create_counter("c")
+        counter.add(1)
+        slept = []
+        sleep = time.sleep
+
+        def recording_sleep(seconds):
+            slept.append(seconds)
+            sleep(seconds)
+
+        monkeypatch.setattr(time, "sleep", recording_sleep)
+        server.drop_connections()
+        counter.add(1)
+        monkeypatch.undo()
+        assert slept[:1] == [RETRY_BASE_S]
+        assert cache.worker_session.reconnects == 2
+        assert server._db[counter.key.encoded] == b"2"
+        cache.drain()
+
+
 def test_resp_grouping_keeps_order_and_singles():
     items = [
         (K_MAP, map_set(b"a", b"1")),
@@ -637,6 +717,59 @@ def test_resp_grouping_keeps_order_and_singles():
     )[0]
     assert len(runs) == 2
     assert runs[1] == enc(K_SET, set_add(b"m%d" % _GROUP_MAX))
+
+
+# Payloads at the edges the encoder cares about: empty, the largest bulk
+# whose header is precomputed (511 bytes) and the smallest that is not.
+_payloads = st.sampled_from([0, 1, 511, 512]).flatmap(
+    lambda n: st.binary(min_size=n, max_size=n)
+)
+_ints = st.integers(INT64_MIN, INT64_MAX)
+_mutations = st.one_of(
+    st.builds(set_blob, _payloads | _ints),
+    st.just(delete()),
+    st.builds(incr, _ints),
+    st.builds(map_set, _payloads, _payloads | _ints),
+    st.builds(map_del, _payloads),
+    st.builds(map_incr, _payloads, _ints),
+    st.builds(list_append, _payloads),
+    st.builds(set_add, _payloads),
+    st.builds(set_del, _payloads),
+)
+# Two keys, so that same-key runs form and break.
+_items = st.lists(st.tuples(st.sampled_from([K_MAP, K_SET]), _mutations), max_size=24)
+
+
+def reference_encode(items, group_max):
+    """_encode_batch spelled plainly: one encode_command per same-key run of
+    a grouped kind (at most group_max long), one per mutation otherwise."""
+    runs = []  # [start, kind, key, arguments]
+    for i, (key, m) in enumerate(items):
+        args = [a if isinstance(a, bytes) else b"%d" % a for a in m[1:] if a is not None]
+        last = runs[-1] if runs else None
+        if (
+            last is not None
+            and m.kind in resp_mod._GROUPED
+            and (last[1], last[2]) == (m.kind, key)
+            and i - last[0] < group_max
+        ):
+            last[3].extend(args)
+        else:
+            runs.append([i, m.kind, key, args])
+    commands = [
+        protocol.encode_command(resp_mod._COMMANDS[kind], key.encoded, *args)
+        for _start, kind, key, args in runs
+    ]
+    return commands, [run[0] for run in runs]
+
+
+@seed(20181)
+@settings(max_examples=300, deadline=None)
+@given(_items, st.sampled_from([2, 3, _GROUP_MAX]))
+def test_resp_encode_batch_matches_one_command_per_run(items, group_max):
+    # Pins the run-of-one path to the grouped one, byte for byte.
+    with mock.patch.object(resp_mod, "_GROUP_MAX", group_max):
+        assert _encode_batch(items) == reference_encode(items, group_max)
 
 
 def test_resp_large_batch_pipelines(mini_server):
@@ -824,6 +957,21 @@ def test_resp_refused_then_lost_command_is_resent(scripted_peer):
         with pytest.raises(Overflow):
             s.apply(batch)
     assert [parts[1] for link, parts in peer.received if link == 1] == names[1:]
+
+
+def test_resp_malformed_reply_drops_the_link(scripted_peer):
+    # The first link answers each GET with a malformed integer followed by
+    # a reply of its own. Kept, that link would hand the second reply to
+    # the next GET; dropped, the next GET reads its own reply.
+    def answer(link, parts):
+        return b":12x\r\n:99\r\n" if link == 0 else b"$1\r\n7\r\n"
+
+    peer = scripted_peer(answer)
+    with make_driver("resp", peer.endpoint).connect() as s:
+        with pytest.raises(ProtocolError):
+            s.fetch(K_NV)
+        assert s.fetch(K_NV) == b"7"
+        assert s.reconnects == 2
 
 
 def grouped_items():

@@ -65,3 +65,51 @@ def test_tracer_spans_reach_every_layer(monkeypatch):
     # Every command the client sent was dispatched, one at a time.
     assert calls["resp.server_dispatch"] == calls["resp.encode_command"]
     assert CoreCache.__dict__["apply_op"] is apply_op
+
+
+def test_tracer_counts_waiting_calls(monkeypatch):
+    # The waiting side of the gate: each waiting call's batch reaches the
+    # class's Driver.apply, which the tracer counts as a sync apply.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+
+    tracer = tracing.Tracer()
+    server = tracer.server_class(MiniRespServer)().start()
+    tracer.install()
+    try:
+        resp = make_driver("resp", server.endpoint)
+        cache = CoreCache("nf1", "ins1", 0, resp, start_flusher=False)
+        ctx = StateContext(cache)
+        ctx.create_counter("c").add(1)
+        ctx.create_map("m").insert(b"k", b"v")
+        ctx.create_counter_map("cm").add_to(b"f", 1)
+        cache.drain()
+        resp.close()
+    finally:
+        tracer.uninstall()
+        server.stop()
+    calls = tracer.merged()["calls"]
+    assert calls["driver.sync_apply"] == 3
+    assert calls["mutations.sync"] == 3
+    assert "driver.flush_apply" not in calls
+    # Three hydrating fetches and three waiting calls, one command each.
+    assert calls["resp.encode_command"] == calls["resp.server_dispatch"] == 6
+
+
+def test_instance_patch_of_apply_sees_waiting_batches(monkeypatch):
+    # perfbench's lossy self-check patches driver.apply on the instance; a
+    # waiting call's batch must go through it, so the lost mutation shows.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    with MiniRespServer() as server:
+        driver = make_driver("resp", server.endpoint)
+        workloads.drop_one_mutation(driver)
+        cache = CoreCache("nf1", "ins1", 0, driver, start_flusher=False)
+        counter = StateContext(cache).create_counter("c")
+        counter.add(1)  # dropped
+        counter.add(2)
+        cache.drain()
+        with driver.connect() as session:
+            assert session.fetch(counter.key) == 2
+        driver.close()
