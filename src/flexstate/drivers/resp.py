@@ -54,6 +54,7 @@ passes, and its message says the link timed out.
 
 from __future__ import annotations
 
+import io
 import socket
 import struct
 
@@ -183,8 +184,11 @@ class RespSession(DriverSession):
         self._sock = sock
         # A buffered reader straight on the descriptor: makefile's reader
         # fills its buffer through SocketIO.readinto, a Python frame per
-        # recv. The socket keeps the descriptor and closes it.
-        self._reader = open(sock.fileno(), "rb", closefd=False)
+        # recv. Its buffer is makefile's size (open would take st_blksize).
+        # The socket keeps the descriptor and closes it.
+        self._reader = open(
+            sock.fileno(), "rb", buffering=io.DEFAULT_BUFFER_SIZE, closefd=False
+        )
         self.reconnects += 1
 
     def drop_link(self) -> None:
