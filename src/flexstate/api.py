@@ -19,7 +19,13 @@ folds the mutation into the pending slot(s) and returns the net change in
 slot count; _collect drains the slots into a batch. Both run under the
 cache lock (see cache.py). Each pending op is recorded under the Mutation
 kind it flushes as, so _collect only attaches the key (and field or
-member). Every pending slot becomes its Mutation through
+member). A Counter or NameValue holds its one slot as a [kind, value]
+list that the folds update in place, so an increment on a pending incr
+only adds to the held sum and allocates no tuple. Every fold keeps each
+live value within int64, but a sum may leave it and come back; a Counter's
+sum is checked once, in _collect, and one still outside int64 flushes as
+a set_blob of the live value. (CounterMap slots still range-check their
+sum in every fold.) Every pending slot becomes its Mutation through
 tuple.__new__(Mutation, ...), and the collections, which can hold
 thousands of slots, add their items in one list comprehension:
 NamedTuple's generated __new__ and a batch.add call per item would cost
@@ -101,7 +107,9 @@ class _ValueHandle(_Handle):
 
     def __init__(self, cache: CoreCache, key: StoreKey, snapshot):
         super().__init__(cache, key, snapshot)  # bytes, int (counters) or None (absent)
-        self._pend = None  # None | ("set_blob", v) | ("incr", n) | ("delete", None)
+        # [kind, value], updated in place: kind None (nothing pending),
+        # "set_blob", "incr" (value the summed increment) or "delete".
+        self._pend = [None, None]
 
     def delete(self) -> None:
         self._cache.apply_op(self, _ValueHandle._drop, wait=True)
@@ -110,23 +118,30 @@ class _ValueHandle(_Handle):
         self._cache.apply_op(self, _ValueHandle._drop)
 
     def _set(self, value) -> int:
-        delta = 0 if self._pend else 1
-        self._pend = ("set_blob", value)
+        p = self._pend
+        delta = 0 if p[0] else 1
+        p[0] = "set_blob"
+        p[1] = value
         self._live = value
         return delta
 
     def _drop(self) -> int:
-        delta = 0 if self._pend else 1
-        self._pend = ("delete", None)
+        p = self._pend
+        delta = 0 if p[0] else 1
+        p[0] = "delete"
+        p[1] = None
         self._live = None
         return delta
 
     def _collect(self, batch: MutationBatch) -> int:
         p = self._pend
-        if p is None:
+        kind, value = p
+        if kind is None:
             return 0
-        batch.add(self._key, _new(Mutation, (p[0], None, p[1])))
-        self._pend = None
+        if kind == "incr" and not INT64_MIN <= value <= INT64_MAX:
+            kind, value = "set_blob", self._live
+        batch.add(self._key, _new(Mutation, (kind, None, value)))
+        p[0] = p[1] = None
         return 1
 
 
@@ -159,20 +174,20 @@ class CounterHandle(_ValueHandle):
         value = (self._live or 0) + n
         if not INT64_MIN <= value <= INT64_MAX:
             check_int64(value)  # raises Overflow
-        p = self._pend
-        if p is None:
-            self._pend = ("incr", n)
-            delta = 1
-        else:
-            # After a set or a delete, or where the summed increment would
-            # leave int64, the slot becomes a set of the live value.
-            if p[0] == "incr" and INT64_MIN <= (acc := p[1] + n) <= INT64_MAX:
-                self._pend = ("incr", acc)
-            else:
-                self._pend = ("set_blob", value)
-            delta = 0
         self._live = value
-        return delta
+        p = self._pend
+        kind = p[0]
+        if kind == "incr":
+            p[1] += n  # _collect checks the sum's range once per flush
+            return 0
+        if kind is None:
+            p[0] = "incr"
+            p[1] = n
+            return 1
+        # After a set or a delete the slot is a set of the live value.
+        p[0] = "set_blob"
+        p[1] = value
+        return 0
 
 
 class NameValueHandle(_ValueHandle):

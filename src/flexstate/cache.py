@@ -26,8 +26,9 @@ Each open structure's entry is its handle (api.py). Every handle mutator,
 in both forms, enters through apply_op(state, method, a, b), with state
 the handle and method one of its folds: the arguments are plain
 positionals, the _nowait forms pass nothing else and the waiting forms add
-wait=True. Counter and CounterMap increments check their int argument
-inside the fold, beside the sum.
+wait=True. Counter and CounterMap increments check their int argument,
+and the live value it gives, inside the fold; a Counter's pending sum is
+range-checked once per collect instead (api.py).
 
 Locking: one plain threading.Lock guards the pending log, the dirty list
 and the flush bookkeeping. The mutation path (apply_op) takes it with an
@@ -231,7 +232,9 @@ class CoreCache:
     def _sync_apply(self, batch: MutationBatch, barrier: int | None) -> None:
         """Apply a waiting call's batch on the worker session, after the
         flusher's batch in flight (swap id barrier) has settled. A call
-        that gives up writes its batch to a dump, as drain does."""
+        that gives up writes its batch to a dump, as drain does; a batch
+        the store refuses is dead-lettered as a flush's is, and the
+        refusal re-raised."""
         deadline = time.monotonic() + SYNC_TIMEOUT_S
         if barrier is not None:
             with self._cond:
@@ -248,16 +251,28 @@ class CoreCache:
         session = self.worker_session
         apply = session.driver.apply
         try:
-            apply(session, batch)
-        except ConnectionLost as lost:
             try:
+                apply(session, batch)
+            except ConnectionLost as lost:
                 _retry_after(lost, deadline, apply, session, batch)
-            except ConnectionLost as exc:
-                path = self._dump_batch(batch)
-                raise StoreUnavailable(
-                    f"waiting call failed, mutations kept in {path}: {exc}"
-                ) from exc
+        except ConnectionLost as exc:
+            path = self._dump_batch(batch)
+            raise StoreUnavailable(
+                f"waiting call failed, mutations kept in {path}: {exc}"
+            ) from exc
+        except StateError as exc:
+            self._dead_letter(batch, exc)
+            raise
         self.stats.sync_flushes += 1
+
+    def _dead_letter(self, batch: MutationBatch, exc: StateError) -> None:
+        """A batch the store refused, which a retry would only refuse
+        again: write it to a dump, count it in stats.dead_letters and name
+        the file and the refusal in stats.last_error."""
+        path = self._dump_batch(batch)
+        with self._cond:  # the flusher and a waiting call may both be here
+            self.stats.dead_letters += 1
+            self.stats.last_error = f"batch dead-lettered to {path}: {exc}"
 
     # Flusher side.
 
@@ -489,10 +504,7 @@ class Flusher:
             cache.note_flush_outcome(len(batch))
             raise
         except StateError as exc:
-            # The store refused the batch; a retry would only fail again.
-            path = cache._dump_batch(batch)
-            stats.dead_letters += 1
-            stats.last_error = f"batch dead-lettered to {path}: {exc}"
+            cache._dead_letter(batch, exc)
         else:
             if draining:
                 stats.drain_mutations += size

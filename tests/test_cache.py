@@ -1,5 +1,6 @@
 """Write-back cache: coalescing, flusher retries, waiting calls, drain."""
 
+import itertools
 import json
 import os
 import random
@@ -8,6 +9,7 @@ import threading
 import time
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 import flexstate.api as api_mod
 import flexstate.cache as cache_mod
@@ -31,12 +33,13 @@ from flexstate.errors import (
     BackpressureSignal,
     BadDuration,
     ConnectionLost,
+    Overflow,
     StoreUnavailable,
     TypeConflict,
 )
 from flexstate.keys import StructureType, build_key
 from flexstate.limits import INT64_MAX, INT64_MIN
-from flexstate.testing import RecordingDriver
+from flexstate.testing import ModelStore, RecordingDriver
 
 
 def make_cache(driver=None, **kwargs):
@@ -263,6 +266,108 @@ def test_increment_folds_stay_increments_within_int64():
     cache.flush_now()
     assert flush_kinds(rec) == [("incr", None, -1), ("map_incr", b"f", -1)]
     cache.drain()
+
+
+def _counter_on(label, mini_server):
+    endpoint = mini_server.endpoint if label == "resp" else "local"
+    rec = RecordingDriver(make_driver(label, endpoint))
+    cache = make_cache(rec)
+    return cache, StateContext(cache).create_counter("c"), rec
+
+
+@pytest.mark.parametrize("label", ["flatkvs", "tablestore", "resp"])
+def test_pending_sum_that_returns_to_int64_stays_one_increment(label, mini_server):
+    # The sum is checked once, when it is collected: on its way it left
+    # int64 (INT64_MAX + 5), but what is flushed is back inside it.
+    cache, c, rec = _counter_on(label, mini_server)
+    c.set(INT64_MIN)
+    for n in (INT64_MAX, 5, -10):
+        c.add_nowait(n)
+    cache.flush_now()
+    assert flush_kinds(rec)[-1] == ("incr", None, INT64_MAX - 5)
+    with rec.connect() as probe:
+        assert probe.fetch(c.key) == c.read() == -6
+    cache.drain()
+    rec.close()
+
+
+@pytest.mark.parametrize("label", ["flatkvs", "tablestore", "resp"])
+@pytest.mark.parametrize("how", ["flush_now", "waiting add"])
+def test_pending_sum_outside_int64_flushes_the_live_value(label, how, mini_server):
+    cache, c, rec = _counter_on(label, mini_server)
+    c.set(INT64_MIN)
+    c.add_nowait(INT64_MAX)
+    c.add_nowait(5)  # the sum is INT64_MAX + 5, the live value 4
+    if how == "flush_now":
+        cache.flush_now()
+    else:
+        c.add(1)  # collects the pending sum with its own +1
+    live = c.read()
+    assert flush_kinds(rec)[-1] == ("set_blob", None, live)
+    assert cache.stats.dead_letters == 0, cache.stats.last_error
+    with rec.connect() as probe:
+        assert probe.fetch(c.key) == live == (4 if how == "flush_now" else 5)
+    cache.drain()
+    rec.close()
+
+
+_near_int64 = st.one_of(
+    st.sampled_from([INT64_MAX, INT64_MAX - 1, INT64_MIN, INT64_MIN + 1, -1, 0, 1]),
+    st.integers(INT64_MIN, INT64_MAX),
+)
+_counter_calls = st.lists(
+    st.one_of(
+        st.tuples(st.sampled_from(["add_nowait", "add", "set_nowait"]), _near_int64),
+        st.tuples(st.sampled_from(["delete_nowait", "flush_now"]), st.none()),
+    ),
+    max_size=24,
+)
+_AS_MUTATION = {"add_nowait": incr, "add": incr, "set_nowait": set_blob}
+
+
+def _refuses(call, *args) -> bool:
+    try:
+        call(*args)
+    except Overflow:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("label", ["flatkvs", "tablestore", "resp"])
+def test_counter_calls_near_int64_match_the_model(label, mini_server):
+    # A call refuses exactly what the model's replay of it refuses; every
+    # flushed incr is within int64, and the store ends equal to read() and
+    # to the model's replay of the calls that returned.
+    endpoint = mini_server.endpoint if label == "resp" else "local"
+    rec = RecordingDriver(make_driver(label, endpoint))
+    ids = itertools.count()
+
+    @seed(1919)
+    @settings(max_examples=60, deadline=None)
+    @given(_counter_calls)
+    def run(calls):
+        cache = make_cache(rec)
+        c = StateContext(cache).create_counter(f"c{next(ids)}")
+        model = ModelStore()
+        mark = len(rec.applied)
+        for name, n in calls:
+            if name == "flush_now":
+                cache.flush_now()
+                continue
+            args, mutation = ((), delete()) if n is None else ((n,), _AS_MUTATION[name](n))
+            refused = _refuses(getattr(c, name), *args)
+            assert refused == _refuses(model.apply_mutation, c.key, mutation), (name, n)
+        cache.flush_now()
+        flushed = [m for _sid, _seq, items in rec.applied[mark:] for _key, m in items]
+        assert all(INT64_MIN <= m.value <= INT64_MAX for m in flushed if m.kind == "incr")
+        assert cache.stats.dead_letters == 0, cache.stats.last_error
+        with rec.connect() as probe:
+            stored = probe.fetch(c.key)
+        assert stored == model.fetch(c.key) == (c.read() if c.exists() else None)
+        cache.drain()
+
+    run()
+    rec.close()
 
 
 def test_list_appends_stay_ordered():
@@ -867,6 +972,43 @@ def test_drain_dead_letters_refused_batch(label, mini_server):
         if path is not None:
             os.unlink(path)
         inner.close()
+
+
+@pytest.mark.parametrize("label", ["flatkvs", "tablestore", "resp"])
+def test_refused_waiting_call_dead_letters_its_batch(label, mini_server):
+    # The waiting add(4) collects the pending +3 with it, and the store,
+    # which another session left 5 below the int64 limit, refuses the
+    # folded incr(7). That batch, +3 included, is dumped and reported as a
+    # refused flush is, and the refusal reaches the caller.
+    endpoint = mini_server.endpoint if label == "resp" else "local"
+    driver = make_driver(label, endpoint)
+    cache = make_cache(driver)
+    c = StateContext(cache).create_counter("c")
+    c.add_nowait(3)
+    with driver.connect() as second:
+        second.apply(MutationBatch([(c.key, set_blob(INT64_MAX - 5))]))
+    path = None
+    try:
+        with pytest.raises(Overflow) as info:
+            c.add(4)
+        stats = cache.stats
+        assert (stats.dead_letters, stats.sync_flushes) == (1, 0)
+        assert stats.last_error.startswith("batch dead-lettered to ")
+        assert stats.last_error.endswith(f": {info.value}")
+        path = next(p for p in stats.last_error.split() if p.endswith(".json:"))[:-1]
+        with open(path) as fh:
+            rows = json.load(fh)
+        assert rows == [
+            {"key": "nf1@ins1@0@Counter@c", "kind": "incr", "field": None, "value": 7}
+        ]
+        assert cache.pending_mutations == 0
+        with driver.connect() as probe:
+            assert probe.fetch(c.key) == INT64_MAX - 5
+        assert cache.drain().dead_letters == 1
+    finally:
+        if path is not None:
+            os.unlink(path)
+        driver.close()
 
 
 def _random_nowait_ops(ctx, rng, n, yield_every):

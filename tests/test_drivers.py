@@ -659,6 +659,33 @@ def test_resp_refused_waiting_call_keeps_the_session():
         cache.drain()
 
 
+def test_resp_refused_waiting_call_dead_letters_the_folded_nowait_insert():
+    # A foreign SET leaves a string at the Map's key, so the store refuses
+    # the waiting insert's HSET, which carries the earlier insert_nowait.
+    with CountingRespServer() as server:
+        cache, ctx = waiting_cache(server)
+        table = ctx.create_map("m")
+        table.insert_nowait(b"a", b"1")
+        with make_driver("resp", server.endpoint).connect() as foreign:
+            foreign.exchange([protocol.encode_command(b"SET", table.key.encoded, b"x")])
+        with pytest.raises(TypeConflict):
+            table.insert(b"b", b"2")
+        stats = cache.stats
+        path = next(p for p in stats.last_error.split() if p.endswith(".json:"))[:-1]
+        try:
+            with open(path) as fh:
+                fields = [(row["kind"], row["field"]) for row in json.load(fh)]
+        finally:
+            os.unlink(path)
+        assert stats.dead_letters == 1
+        assert fields == [
+            ("map_set", {"b64": base64.b64encode(b"a").decode()}),
+            ("map_set", {"b64": base64.b64encode(b"b").decode()}),
+        ]
+        assert server._db[table.key.encoded] == b"x"
+        cache.drain()
+
+
 def test_resp_waiting_call_backs_off_before_its_retry(monkeypatch):
     # A waiting call whose link was dropped retries on _retry's schedule:
     # the first retry waits RETRY_BASE_S.
