@@ -17,21 +17,19 @@ the public methods it holds the live value, the pending slot(s) and the
 rules for them. A fold (_set, _add, _insert, ...) updates the live value,
 folds the mutation into the pending slot(s) and returns the net change in
 slot count; _collect drains the slots into a batch. Both run under the
-cache lock (see cache.py). Each pending op is recorded under the Mutation
-kind it flushes as, so _collect only attaches the key (and field or
-member). A Counter or NameValue holds its one slot as a [kind, value]
-list that the folds update in place, so an increment on a pending incr
-only adds to the held sum and allocates no tuple. Every fold keeps each
-live value within int64, but a sum may leave it and come back; a Counter's
-sum is checked once, in _collect, and one still outside int64 flushes as
-a set_blob of the live value. (CounterMap slots still range-check their
-sum in every fold.) Every pending slot becomes its Mutation through
-tuple.__new__(Mutation, ...), and the collections, which can hold
-thousands of slots, add their items in one list comprehension:
-NamedTuple's generated __new__ and a batch.add call per item would cost
-about twice as much, all of it under the cache lock. The invariant
-throughout: replaying the pending slots on top of the store's current
-value yields exactly the live value.
+cache lock (see cache.py). A Counter or NameValue holds its one slot as a
+[kind, value] list that the folds update in place, so an increment on a
+pending incr only adds to the held sum and allocates nothing. Every fold
+keeps each live value within int64, but a sum may leave it and come
+back; a Counter's sum is checked once, in _collect, and one still outside
+int64 flushes as a set_blob of the live value. Map, CounterMap, List and
+Set hold one form: an ordered dict from slot (a Map field, a Set member,
+a List position) to the Mutation that slot flushes as, so _collect only
+attaches the key. A reset (Map delete, List clear) empties the dict and
+stores one delete under the _RESET slot, which flushes ahead of every
+later slot. (CounterMap folds range-check their pending sum every time.)
+The invariant throughout: replaying the pending slots on top of the
+store's current value yields exactly the live value.
 """
 
 from __future__ import annotations
@@ -55,6 +53,11 @@ if TYPE_CHECKING:
     from .cache import CoreCache
 
 _new = tuple.__new__  # builds a Mutation without NamedTuple's Python __new__
+
+# A collection's reset (Map delete, List clear) is held under this slot,
+# which no Map field, Set member or List position equals.
+_RESET = None
+_DELETE = Mutation("delete")
 
 # Each check returns at once for the common input (exact bytes within the
 # limit, an exact int within int64); anything else takes the full path,
@@ -207,16 +210,40 @@ class NameValueHandle(_ValueHandle):
     update_nowait = create_nowait
 
 
-class _MapHandleBase(_Handle):
-    """What Map and CounterMap handles share: everything but the values."""
+class _CollectionHandle(_Handle):
+    """What Map, CounterMap, List and Set handles share: the pending slots,
+    an ordered dict from slot (a Map field, a Set member or a List
+    position) to the Mutation that slot flushes as."""
 
-    __slots__ = ("_pend", "_reset")
+    __slots__ = ("_pend",)
+    _live_type: type
 
     def __init__(self, cache: CoreCache, key: StoreKey, snapshot):
-        super().__init__(cache, key, dict(snapshot) if snapshot else {})
-        # field -> ("map_set", v) | ("map_incr", n) | ("map_del", None)
+        super().__init__(cache, key, self._live_type(snapshot or ()))
         self._pend: dict = {}
-        self._reset = False
+
+    def _drop(self) -> int:
+        pend = self._pend
+        delta = 1 - len(pend)
+        pend.clear()
+        pend[_RESET] = _DELETE
+        self._live.clear()
+        return delta
+
+    def _collect(self, batch: MutationBatch) -> int:
+        pend = self._pend
+        key = self._key
+        batch.items += [(key, m) for m in pend.values()]
+        count = len(pend)
+        pend.clear()
+        return count
+
+
+class _MapHandleBase(_CollectionHandle):
+    """What Map and CounterMap handles share: everything but the values."""
+
+    __slots__ = ()
+    _live_type = dict
 
     def has(self, key: bytes) -> bool:
         return _check_map_key(key) in self._live
@@ -234,47 +261,22 @@ class _MapHandleBase(_Handle):
         self._cache.apply_op(self, _MapHandleBase._remove, _check_map_key(key))
 
     def delete(self) -> None:
-        self._cache.apply_op(self, _MapHandleBase._drop, wait=True)
+        self._cache.apply_op(self, _CollectionHandle._drop, wait=True)
 
     def delete_nowait(self) -> None:
-        self._cache.apply_op(self, _MapHandleBase._drop)
-
-    def _slots(self) -> int:
-        return len(self._pend) + (1 if self._reset else 0)
+        self._cache.apply_op(self, _CollectionHandle._drop)
 
     def _insert(self, fieldname: bytes, value) -> int:
         delta = 0 if fieldname in self._pend else 1
-        self._pend[fieldname] = ("map_set", value)
+        self._pend[fieldname] = _new(Mutation, ("map_set", fieldname, value))
         self._live[fieldname] = value
         return delta
 
     def _remove(self, fieldname: bytes) -> int:
         delta = 0 if fieldname in self._pend else 1
-        self._pend[fieldname] = ("map_del", None)
+        self._pend[fieldname] = _new(Mutation, ("map_del", fieldname, None))
         self._live.pop(fieldname, None)
         return delta
-
-    def _drop(self) -> int:
-        delta = 1 - self._slots()
-        self._pend.clear()
-        self._reset = True
-        self._live.clear()
-        return delta
-
-    def _collect(self, batch: MutationBatch) -> int:
-        count = self._slots()
-        if count == 0:
-            return 0
-        key = self._key
-        if self._reset:
-            batch.add(key, Mutation("delete"))
-            self._reset = False
-        batch.items += [
-            (key, _new(Mutation, (kind, fieldname, value)))
-            for fieldname, (kind, value) in self._pend.items()
-        ]
-        self._pend.clear()
-        return count
 
 
 class MapHandle(_MapHandleBase):
@@ -328,26 +330,22 @@ class CounterMapHandle(_MapHandleBase):
             check_int64(value)  # raises Overflow
         p = self._pend.get(fieldname)
         if p is None:
-            self._pend[fieldname] = ("map_incr", n)
+            self._pend[fieldname] = _new(Mutation, ("map_incr", fieldname, n))
             delta = 1
         else:
-            if p[0] == "map_incr" and INT64_MIN <= (acc := p[1] + n) <= INT64_MAX:
-                self._pend[fieldname] = ("map_incr", acc)
+            if p[0] == "map_incr" and INT64_MIN <= (acc := p[2] + n) <= INT64_MAX:
+                self._pend[fieldname] = _new(Mutation, ("map_incr", fieldname, acc))
             else:
-                self._pend[fieldname] = ("map_set", value)
+                self._pend[fieldname] = _new(Mutation, ("map_set", fieldname, value))
             delta = 0
         self._live[fieldname] = value
         return delta
 
 
-class ListHandle(_Handle):
-    __slots__ = ("_appends", "_reset")
+class ListHandle(_CollectionHandle):
+    __slots__ = ()
     _stype = StructureType.LIST
-
-    def __init__(self, cache: CoreCache, key: StoreKey, snapshot):
-        super().__init__(cache, key, list(snapshot) if snapshot else [])
-        self._appends: list = []
-        self._reset = False
+    _live_type = list
 
     def read(self, index: int) -> bytes:
         try:
@@ -370,45 +368,22 @@ class ListHandle(_Handle):
         self._cache.apply_op(self, ListHandle._push_back, _check_element(value))
 
     def clear(self) -> None:
-        self._cache.apply_op(self, ListHandle._clear, wait=True)
+        self._cache.apply_op(self, _CollectionHandle._drop, wait=True)
 
     def clear_nowait(self) -> None:
-        self._cache.apply_op(self, ListHandle._clear)
+        self._cache.apply_op(self, _CollectionHandle._drop)
 
     def _push_back(self, value) -> int:
-        self._appends.append(value)
+        pend = self._pend
+        pend[len(pend)] = _new(Mutation, ("list_append", None, value))
         self._live.append(value)
         return 1
 
-    def _clear(self) -> int:
-        delta = 1 - (len(self._appends) + (1 if self._reset else 0))
-        self._appends.clear()
-        self._reset = True
-        self._live.clear()
-        return delta
 
-    def _collect(self, batch: MutationBatch) -> int:
-        count = len(self._appends) + (1 if self._reset else 0)
-        if count == 0:
-            return 0
-        key = self._key
-        if self._reset:
-            batch.add(key, Mutation("delete"))
-            self._reset = False
-        batch.items += [
-            (key, _new(Mutation, ("list_append", None, value))) for value in self._appends
-        ]
-        self._appends.clear()
-        return count
-
-
-class SetHandle(_Handle):
-    __slots__ = ("_pend",)
+class SetHandle(_CollectionHandle):
+    __slots__ = ()
     _stype = StructureType.SET
-
-    def __init__(self, cache: CoreCache, key: StoreKey, snapshot):
-        super().__init__(cache, key, set(snapshot) if snapshot else set())
-        self._pend: dict = {}  # member -> "set_add" | "set_del"
+    _live_type = set
 
     def contains(self, value: bytes) -> bool:
         return _check_element(value) in self._live
@@ -433,26 +408,15 @@ class SetHandle(_Handle):
 
     def _insert(self, value: bytes) -> int:
         delta = 0 if value in self._pend else 1
-        self._pend[value] = "set_add"
+        self._pend[value] = _new(Mutation, ("set_add", None, value))
         self._live.add(value)
         return delta
 
     def _remove(self, value: bytes) -> int:
         delta = 0 if value in self._pend else 1
-        self._pend[value] = "set_del"
+        self._pend[value] = _new(Mutation, ("set_del", None, value))
         self._live.discard(value)
         return delta
-
-    def _collect(self, batch: MutationBatch) -> int:
-        count = len(self._pend)
-        if count == 0:
-            return 0
-        key = self._key
-        batch.items += [
-            (key, _new(Mutation, (kind, None, member))) for member, kind in self._pend.items()
-        ]
-        self._pend.clear()
-        return count
 
 
 # The one table from a structure type to its handle class.

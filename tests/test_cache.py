@@ -370,6 +370,85 @@ def test_counter_calls_near_int64_match_the_model(label, mini_server):
     rec.close()
 
 
+_FIELD = st.sampled_from([b"f1", b"f2", b"f3"])
+_ELEMENT = st.sampled_from([b"a", b"b", b"c"])
+_SMALL = st.integers(-50, 50)
+# Per collection type: its open call, and each mutator with the arguments
+# it draws and the mutation the model replays for it.
+_COLLECTION_CALLS = {
+    "map": ("create_map", {
+        "insert": ((_FIELD, _ELEMENT), map_set),
+        "remove": ((_FIELD,), map_del),
+        "delete": ((), delete),
+    }),
+    "counter_map": ("create_counter_map", {
+        "add_to": ((_FIELD, _SMALL), map_incr),
+        "insert": ((_FIELD, _SMALL), map_set),
+        "remove": ((_FIELD,), map_del),
+        "delete": ((), delete),
+    }),
+    "list": ("create_list", {
+        "push_back": ((_ELEMENT,), list_append),
+        "clear": ((), delete),
+    }),
+    "set": ("create_set", {
+        "insert": ((_ELEMENT,), set_add),
+        "remove": ((_ELEMENT,), set_del),
+    }),
+}
+
+
+def _collection_stream(kind):
+    """Calls on one collection: (method name, args), or ("flush_now", ())."""
+    mutators = _COLLECTION_CALLS[kind][1]
+    calls = [st.just(("flush_now", ()))]
+    for name, (args, _mutation) in mutators.items():
+        for method in (name, name + "_nowait", name + "_nowait"):
+            calls.append(st.tuples(st.just(method), st.tuples(*args)))
+    return st.lists(st.one_of(calls), max_size=30)
+
+
+@pytest.mark.parametrize("kind", sorted(_COLLECTION_CALLS))
+@pytest.mark.parametrize("label", ["flatkvs", "tablestore", "resp"])
+def test_collection_calls_match_the_model(label, kind, mini_server):
+    # Resets land anywhere in a flush window. After every flush the store
+    # equals read_all() and the model's replay of the calls, and each flush
+    # carries exactly the pending_mutations counted before it.
+    endpoint = mini_server.endpoint if label == "resp" else "local"
+    rec = RecordingDriver(make_driver(label, endpoint))
+    opener, mutators = _COLLECTION_CALLS[kind]
+    ids = itertools.count()
+
+    def flush_and_check(cache, h, model):
+        pending, mark = cache.pending_mutations, len(rec.applied)
+        cache.flush_now()
+        assert sum(len(items) for _sid, _seq, items in rec.applied[mark:]) == pending
+        assert cache.pending_mutations == 0
+        with rec.connect() as probe:
+            stored = probe.fetch(h.key)
+        assert stored == model.fetch(h.key) == (h.read_all() or None)
+
+    @seed(2020)
+    @settings(max_examples=40, deadline=None)
+    @given(_collection_stream(kind))
+    def run(calls):
+        cache = make_cache(rec)
+        h = getattr(StateContext(cache), opener)(f"{kind}{next(ids)}")
+        model = ModelStore()
+        for method, args in calls:
+            if method == "flush_now":
+                flush_and_check(cache, h, model)
+                continue
+            getattr(h, method)(*args)
+            model.apply_mutation(h.key, mutators[method.removesuffix("_nowait")][1](*args))
+        flush_and_check(cache, h, model)
+        assert cache.stats.dead_letters == 0, cache.stats.last_error
+        cache.drain()
+
+    run()
+    rec.close()
+
+
 def test_list_appends_stay_ordered():
     cache, rec = recording_cache()
     ctx = StateContext(cache)

@@ -650,6 +650,9 @@ def test_resp_refused_waiting_call_keeps_the_session():
             foreign.exchange([protocol.encode_command(b"SET", counter.key.encoded, b"abc")])
         with pytest.raises(TypeConflict):
             counter.add(1)
+        stats = cache.stats
+        os.unlink(next(p for p in stats.last_error.split() if p.endswith(".json:"))[:-1])
+        assert stats.dead_letters == 1
         assert server.commands[-1] == b"INCRBY"
         table.insert(b"k", b"v")
         assert server.commands[-1] == b"HSET"
