@@ -17,7 +17,7 @@ import csv
 import io
 import json
 import statistics
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 from .config import FlexConfig
 from .drivers import make_driver
@@ -27,7 +27,7 @@ from .nf.combine import (
     combine_counters,
     merge_maps,
 )
-from .nf.nat import EXTERNAL_BASE, NatNF
+from .nf.nat import NatNF, pool_index
 from .resp.server import MiniRespServer
 from .runtime import RunReport, WorkerPool
 from .trafficgen import generate_flows, read_flow_file, replay
@@ -77,13 +77,8 @@ class BenchScenario:
     def config(self, endpoint: str) -> FlexConfig:
         """The config a repetition runs, on endpoint (a bundled server's
         own endpoint stands in for "local" on resp)."""
-        return FlexConfig(
-            nf_id=self.nf_id,
-            instance_id=self.instance_id,
-            driver_label=self.driver_label,
-            endpoint=endpoint,
-            flush_interval_us=self.flush_interval_us,
-        )
+        values = {f.name: getattr(self, f.name) for f in fields(FlexConfig)}
+        return FlexConfig(**{**values, "endpoint": endpoint})
 
     def label(self) -> str:
         where = self.endpoint if self.driver_label == "resp" else "local"
@@ -230,7 +225,7 @@ def _nat_checks(pool: WorkerPool, session, config: FlexConfig) -> dict:
         low = nf.chunk_start
         high = nf.chunk_start + nf.chunk_len
         for pair in snapshot.values():
-            index = _pair_index(pair)
+            index = pool_index(pair)
             if not low <= index < high:
                 chunks_ok = False
     store_bindings = merge_maps(
@@ -252,12 +247,6 @@ def _nat_checks(pool: WorkerPool, session, config: FlexConfig) -> dict:
         "store_matches_log": store_bindings == union,
         "cursor_matches_log": store_cursor == sum(nf.cursor.read() for nf in nfs),
     }
-
-
-def _pair_index(pair: bytes) -> int:
-    ip = int.from_bytes(pair[:4], "big")
-    port = int.from_bytes(pair[4:], "big")
-    return ((ip - EXTERNAL_BASE) << 16) | port
 
 
 def _lb_checks(pool: WorkerPool, session, config: FlexConfig) -> dict:
@@ -287,14 +276,25 @@ def _lb_checks(pool: WorkerPool, session, config: FlexConfig) -> dict:
 
 # Sweeps and output formats.
 
-_AXES = {
+# flexbench's scenario flags: flag -> (BenchScenario field, type). The CLI
+# builds its options and overrides from this table, and run_sweep casts
+# axis values with it.
+SCENARIO_FLAGS = {
+    "nf": ("nf", str),
     "cores": ("cores", int),
     "driver": ("driver_label", str),
+    "endpoint": ("endpoint", str),
     "flush-interval-us": ("flush_interval_us", int),
-    "inject-latency-us": ("inject_latency_us", int),
     "flows": ("n_flows", int),
-    "nf": ("nf", str),
+    "packet-size": ("packet_size", int),
+    "seed": ("seed", int),
+    "duration-s": ("duration_s", float),
+    "budget": ("budget", int),
+    "inject-latency-us": ("inject_latency_us", int),
+    "reps": ("repetitions", int),
+    "flow-file": ("flow_file", str),
 }
+_AXES = ("cores", "driver", "flush-interval-us", "inject-latency-us", "flows", "nf")
 
 
 def sweep_axes() -> list[str]:
@@ -304,7 +304,7 @@ def sweep_axes() -> list[str]:
 def run_sweep(base: BenchScenario, axis: str, values: list[str]) -> list[BenchReport]:
     if axis not in _AXES:
         raise ValueError(f"unknown sweep axis {axis!r}; known: {sweep_axes()}")
-    field_name, cast = _AXES[axis]
+    field_name, cast = SCENARIO_FLAGS[axis]
     reports = []
     for raw in values:
         scenario = replace(base, **{field_name: cast(raw)})
@@ -316,40 +316,27 @@ def reports_to_json(reports: list[BenchReport]) -> str:
     return json.dumps([r.to_dict() for r in reports], indent=2)
 
 
+# CSV heading -> BenchScenario field; the report figures follow.
+_CSV_COLUMNS = {
+    "nf": "nf",
+    "driver": "driver_label",
+    "endpoint": "endpoint",
+    "cores": "cores",
+    "flush_interval_us": "flush_interval_us",
+    "inject_latency_us": "inject_latency_us",
+    "flows": "n_flows",
+    "reps": "repetitions",
+}
+
+
 def reports_to_csv(reports: list[BenchReport]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)
-    writer.writerow(
-        [
-            "nf",
-            "driver",
-            "endpoint",
-            "cores",
-            "flush_interval_us",
-            "inject_latency_us",
-            "flows",
-            "reps",
-            "mean_pps",
-            "stdev_pps",
-            "passed",
-        ]
-    )
+    writer.writerow([*_CSV_COLUMNS, "mean_pps", "stdev_pps", "passed"])
     for r in reports:
-        s = r.scenario
         writer.writerow(
-            [
-                s.nf,
-                s.driver_label,
-                s.endpoint,
-                s.cores,
-                s.flush_interval_us,
-                s.inject_latency_us,
-                s.n_flows,
-                s.repetitions,
-                f"{r.mean_pps:.0f}",
-                f"{r.stdev_pps:.0f}",
-                r.passed,
-            ]
+            [getattr(r.scenario, name) for name in _CSV_COLUMNS.values()]
+            + [f"{r.mean_pps:.0f}", f"{r.stdev_pps:.0f}", r.passed]
         )
     return buf.getvalue()
 

@@ -52,6 +52,7 @@ import tempfile
 import threading
 import time
 from dataclasses import dataclass, field
+from typing import NoReturn
 
 from .api import _HANDLE_BY_TYPE
 from .config import check_flush_interval
@@ -232,9 +233,8 @@ class CoreCache:
     def _sync_apply(self, batch: MutationBatch, barrier: int | None) -> None:
         """Apply a waiting call's batch on the worker session, after the
         flusher's batch in flight (swap id barrier) has settled. A call
-        that gives up writes its batch to a dump, as drain does; a batch
-        the store refuses is dead-lettered as a flush's is, and the
-        refusal re-raised."""
+        that gives up, and a batch the store refuses, are dead-lettered
+        as a flush's refused batch is; the refusal is re-raised."""
         deadline = time.monotonic() + SYNC_TIMEOUT_S
         if barrier is not None:
             with self._cond:
@@ -242,10 +242,7 @@ class CoreCache:
                     lambda: self._inflight_swap != barrier, deadline - time.monotonic()
                 )
             if not settled:
-                path = self._dump_batch(batch)
-                raise StoreUnavailable(
-                    f"timed out waiting for in-flight flush, mutations kept in {path}"
-                )
+                self._give_up(batch, "timed out waiting for in-flight flush")
         # The first try goes straight to the driver: _retry's call and
         # argument packing would be paid on every round trip.
         session = self.worker_session
@@ -256,23 +253,30 @@ class CoreCache:
             except ConnectionLost as lost:
                 _retry_after(lost, deadline, apply, session, batch)
         except ConnectionLost as exc:
-            path = self._dump_batch(batch)
-            raise StoreUnavailable(
-                f"waiting call failed, mutations kept in {path}: {exc}"
-            ) from exc
+            self._give_up(batch, "waiting call failed", exc)
         except StateError as exc:
             self._dead_letter(batch, exc)
             raise
         self.stats.sync_flushes += 1
 
-    def _dead_letter(self, batch: MutationBatch, exc: StateError) -> None:
-        """A batch the store refused, which a retry would only refuse
-        again: write it to a dump, count it in stats.dead_letters and name
-        the file and the refusal in stats.last_error."""
+    def _dead_letter(self, batch: MutationBatch, why: StateError | str) -> str:
+        """A batch that will not reach the store, because the store refused
+        it (a retry would only refuse again) or its caller gave up: write
+        it to a dump, count it in stats.dead_letters, name the file and why
+        in stats.last_error, and return the file's path."""
         path = self._dump_batch(batch)
         with self._cond:  # the flusher and a waiting call may both be here
             self.stats.dead_letters += 1
-            self.stats.last_error = f"batch dead-lettered to {path}: {exc}"
+            self.stats.last_error = f"batch dead-lettered to {path}: {why}"
+        return path
+
+    def _give_up(self, batch: MutationBatch, what: str, exc=None) -> NoReturn:
+        """Dead-letter batch, which could not be applied in time, and raise
+        StoreUnavailable naming what gave up, the dump and the lost link
+        (exc, a ConnectionLost) if there was one."""
+        path = self._dead_letter(batch, exc or what)
+        detail = "" if exc is None else f": {exc}"
+        raise StoreUnavailable(f"{what}, mutations kept in {path}{detail}") from exc
 
     # Flusher side.
 
@@ -314,8 +318,8 @@ class CoreCache:
         final pending batch through the same path as a tick
         (Flusher.push_left): a batch the store refuses is dead-lettered
         and drain goes on. Lost links are retried until timeout_s has
-        passed; then all that is left, retained batch first, is written
-        to one dump and StoreUnavailable raised.
+        passed; then all that is left, retained batch first, is
+        dead-lettered as one batch and StoreUnavailable raised.
         """
         flusher = self.flusher
         flusher.stop()
@@ -323,10 +327,7 @@ class CoreCache:
             _retry(time.monotonic() + timeout_s, flusher.push_left, True)
         except ConnectionLost as exc:
             items = flusher.retained_batch.items + self.take_pending()[0].items
-            path = self._dump_batch(MutationBatch(items))
-            raise StoreUnavailable(
-                f"drain failed, mutations kept in {path}: {exc}"
-            ) from exc
+            self._give_up(MutationBatch(items), "drain failed", exc)
         finally:
             self.worker_session.close()
             self.flusher_session.close()

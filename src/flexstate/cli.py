@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import asdict
 
 from . import bench
 from .config import load_config
@@ -25,21 +26,17 @@ from .trafficgen import generate_flows, write_flow_file
 
 def _add_scenario_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="config file with ids and store defaults")
-    p.add_argument("--nf", choices=sorted(known_nfs()))
-    p.add_argument("--cores", type=int)
-    p.add_argument("--driver", choices=sorted(known_labels()))
-    p.add_argument("--endpoint", help="host:port, or 'local' for in-process")
-    p.add_argument("--flush-interval-us", type=int)
-    p.add_argument("--flows", type=int)
-    p.add_argument("--packet-size", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--duration-s", type=float)
-    p.add_argument("--budget", type=int, help="total packets instead of a duration")
-    p.add_argument("--inject-latency-us", type=int)
-    p.add_argument("--reps", type=int)
+    extra = {
+        "nf": {"choices": sorted(known_nfs())},
+        "driver": {"choices": sorted(known_labels())},
+        "endpoint": {"help": "host:port, or 'local' for in-process"},
+        "budget": {"help": "total packets instead of a duration"},
+        "flow-file": {"help": "replay this flow file instead of generating"},
+    }
+    for flag, (_name, cast) in bench.SCENARIO_FLAGS.items():
+        p.add_argument(f"--{flag}", type=cast, **extra.get(flag, {}))
     p.add_argument("--pool-size", type=int, help="NAT external pool entries")
     p.add_argument("--servers", type=int, help="load balancer backend count")
-    p.add_argument("--flow-file", help="replay this flow file instead of generating")
     p.add_argument("--report", help="write the report here instead of stdout")
     p.add_argument(
         "--format", choices=("json", "csv", "text"), default="text", dest="fmt"
@@ -72,30 +69,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _scenario_from_args(args) -> bench.BenchScenario:
     scenario = bench.BenchScenario()
     if args.config:
-        config = load_config(args.config)
-        scenario = bench.BenchScenario(
-            nf_id=config.nf_id,
-            instance_id=config.instance_id,
-            driver_label=config.driver_label,
-            endpoint=config.endpoint,
-            flush_interval_us=config.flush_interval_us,
-        )
-    overrides = {
-        "nf": args.nf,
-        "cores": args.cores,
-        "driver_label": args.driver,
-        "endpoint": args.endpoint,
-        "flush_interval_us": args.flush_interval_us,
-        "n_flows": args.flows,
-        "packet_size": args.packet_size,
-        "seed": args.seed,
-        "duration_s": args.duration_s,
-        "budget": args.budget,
-        "inject_latency_us": args.inject_latency_us,
-        "repetitions": args.reps,
-        "flow_file": args.flow_file,
-    }
-    for name, value in overrides.items():
+        scenario = bench.BenchScenario(**asdict(load_config(args.config)))
+    for flag, (name, _cast) in bench.SCENARIO_FLAGS.items():
+        value = getattr(args, flag.replace("-", "_"))
         if value is not None:
             setattr(scenario, name, value)
     if scenario.nf == "nat" and args.pool_size is not None:

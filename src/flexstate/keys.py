@@ -118,10 +118,7 @@ def parse_key(text: str) -> StoreKey:
     structure_type = _TYPE_BY_TOKEN.get(type_token)
     if structure_type is None:
         raise InvalidToken(f"unknown type token {type_token!r}")
-    check_token(nf_id, "nf id")
-    check_token(instance_id, "instance id")
-    check_structure_id(structure_id)
-    return StoreKey(nf_id, instance_id, int(core_text), structure_type, structure_id)
+    return build_key(nf_id, instance_id, int(core_text), structure_type, structure_id)
 
 
 def key_prefix(nf_id: str, instance_id: str) -> str:

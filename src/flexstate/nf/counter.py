@@ -42,15 +42,8 @@ class CounterSyncNF:
         return {"count": self.counter.read(), "store_errors": self.store_errors}
 
 
-class CounterAsyncNF:
+class CounterAsyncNF(CounterSyncNF):
     name = "counter-async"
-
-    def __init__(self):
-        self.counter = None
-        self.store_errors = 0
-
-    def setup(self, ctx: StateContext) -> None:
-        self.counter = ctx.create_counter(COUNTER_ID)
 
     def handle(self, pkt: Packet, ctx: StateContext):
         try:
@@ -60,6 +53,3 @@ class CounterAsyncNF:
             return None
         src_ip, dst_ip, src_port, dst_port, proto, size, _meta = pkt
         return _new(Packet, (dst_ip, src_ip, dst_port, src_port, proto, size, None))
-
-    def summary(self) -> dict:
-        return {"count": self.counter.read(), "store_errors": self.store_errors}

@@ -37,6 +37,12 @@ def pool_entry(index: int) -> tuple[int, int]:
     return EXTERNAL_BASE + (index >> 16), index & 0xFFFF
 
 
+def pool_index(pair: bytes) -> int:
+    """Inverse of pool_entry, from the packed pair a binding stores."""
+    ip, port = _PAIR.unpack(pair)
+    return ((ip - EXTERNAL_BASE) << 16) | port
+
+
 def chunk_bounds(pool_size: int, core_id: int, n_cores: int) -> tuple[int, int]:
     """(start, length) of a core's contiguous slice of the pool."""
     base, extra = divmod(pool_size, n_cores)

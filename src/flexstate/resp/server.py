@@ -107,6 +107,8 @@ class MiniRespServer:
         self._db: dict[bytes, object] = {}
         self._data_lock = threading.Lock()
         self._listen_sock: socket.socket | None = None
+        # The acceptor, then each open connection and its serving thread,
+        # which drops both when it ends. Guarded by _conns_lock.
         self._threads: list[threading.Thread] = []
         self._conns: list[socket.socket] = []
         self._conns_lock = threading.Lock()
@@ -135,8 +137,9 @@ class MiniRespServer:
         sock.listen(128)
         self._listen_sock = sock
         acceptor = threading.Thread(target=self._accept_loop, daemon=True)
+        with self._conns_lock:
+            self._threads.append(acceptor)
         acceptor.start()
-        self._threads.append(acceptor)
         return self
 
     def stop(self) -> None:
@@ -152,21 +155,19 @@ class MiniRespServer:
             except OSError:
                 pass
         self.drop_connections()
-        for t in self._threads:
+        with self._conns_lock:
+            threads = list(self._threads)
+        for t in threads:
             t.join(timeout=2.0)
-        self._threads.clear()
 
     def drop_connections(self) -> None:
-        """Abruptly close every client socket. Exercises client retry paths."""
+        """Abruptly cut every client connection; each serving thread then
+        closes its socket. Exercises client retry paths."""
         with self._conns_lock:
-            conns, self._conns = self._conns, []
+            conns = list(self._conns)
         for c in conns:
             try:
                 c.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                c.close()
             except OSError:
                 pass
 
@@ -184,11 +185,11 @@ class MiniRespServer:
             except OSError:
                 return
             conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            t = threading.Thread(target=self._serve, args=(conn,), daemon=True)
             with self._conns_lock:
                 self._conns.append(conn)
-            t = threading.Thread(target=self._serve, args=(conn,), daemon=True)
+                self._threads.append(t)
             t.start()
-            self._threads.append(t)
 
     def _serve(self, conn: socket.socket) -> None:
         split = protocol.split_commands
@@ -231,6 +232,9 @@ class MiniRespServer:
                 conn.close()
             except OSError:
                 pass
+            with self._conns_lock:
+                self._conns.remove(conn)
+                self._threads.remove(threading.current_thread())
 
     # Command execution
 

@@ -178,10 +178,11 @@ class _Worker(threading.Thread):
             self.end_time = time.perf_counter()
             if self.cache is not None:
                 try:
-                    self.report.flush = self.cache.drain().as_dict()
+                    self.cache.drain()
                 except StateError as exc:
                     if self.error is None:
                         self.error = f"drain failed: {exc}"
+                self.report.flush = self.cache.stats.as_dict()
 
     def _loop(self, ctx: StateContext) -> None:
         # Counted per chunk; a chunk an NF error cuts short is not counted.
@@ -252,13 +253,10 @@ class WorkerPool:
         deadline = None if duration_s is None else start + duration_s
 
         def offer(core: int, buf: list) -> None:
-            if lossless:
-                inboxes[core].put(buf)
-            else:
-                try:
-                    inboxes[core].put_nowait(buf)
-                except queue.Full:
-                    queue_dropped[core] += len(buf)
+            try:
+                inboxes[core].put(buf, lossless)
+            except queue.Full:
+                queue_dropped[core] += len(buf)
 
         if n == 1:
             def dispatch(slab: list) -> None:

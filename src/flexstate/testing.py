@@ -127,9 +127,8 @@ class RecordingDriver(Driver):
             if self.fail_applies > 0:
                 self.fail_applies -= 1
                 raise ConnectionLost("injected failure")
-        # The same items list: a trim the inner driver makes reaches the caller.
-        inner_batch = MutationBatch(batch.items, seq=batch.seq)
-        self.inner.apply(session.inner, inner_batch)
+        # The caller's batch: a trim the inner driver makes reaches the caller.
+        self.inner.apply(session.inner, batch)
         with self._record_lock:
             self.applied.append((session.session_id, batch.seq, list(batch.items)))
 

@@ -4,6 +4,7 @@ Runs use tiny packet budgets: the point is to exercise scenario plumbing,
 correctness checks, sweeps, and output formats, not to measure throughput.
 """
 
+import argparse
 import csv
 import io
 import json
@@ -12,7 +13,7 @@ import os
 import pytest
 
 from flexstate import bench
-from flexstate.cli import main
+from flexstate.cli import build_parser, main
 
 
 def tiny(**overrides) -> bench.BenchScenario:
@@ -179,6 +180,79 @@ def test_sweep_axes_listing():
     assert bench.sweep_axes() == sorted(
         ["cores", "driver", "flush-interval-us", "inject-latency-us", "flows", "nf"]
     )
+
+
+_NFS = ("counter-async", "counter-sync", "lb", "nat")
+_DRIVERS = ("flatkvs", "resp", "tablestore")
+# option strings -> (dest, type, choices, default, help, required)
+_SCENARIO_SURFACE = {
+    ("-h", "--help"): (
+        "help", str, None, argparse.SUPPRESS, "show this help message and exit", False
+    ),
+    ("--config",): (
+        "config", str, None, None, "config file with ids and store defaults", False
+    ),
+    ("--nf",): ("nf", str, _NFS, None, None, False),
+    ("--cores",): ("cores", int, None, None, None, False),
+    ("--driver",): ("driver", str, _DRIVERS, None, None, False),
+    ("--endpoint",): (
+        "endpoint", str, None, None, "host:port, or 'local' for in-process", False
+    ),
+    ("--flush-interval-us",): ("flush_interval_us", int, None, None, None, False),
+    ("--flows",): ("flows", int, None, None, None, False),
+    ("--packet-size",): ("packet_size", int, None, None, None, False),
+    ("--seed",): ("seed", int, None, None, None, False),
+    ("--duration-s",): ("duration_s", float, None, None, None, False),
+    ("--budget",): (
+        "budget", int, None, None, "total packets instead of a duration", False
+    ),
+    ("--inject-latency-us",): ("inject_latency_us", int, None, None, None, False),
+    ("--reps",): ("reps", int, None, None, None, False),
+    ("--pool-size",): ("pool_size", int, None, None, "NAT external pool entries", False),
+    ("--servers",): ("servers", int, None, None, "load balancer backend count", False),
+    ("--flow-file",): (
+        "flow_file", str, None, None, "replay this flow file instead of generating", False
+    ),
+    ("--report",): (
+        "report", str, None, None, "write the report here instead of stdout", False
+    ),
+    ("--format",): ("fmt", str, ("json", "csv", "text"), "text", None, False),
+}
+_AXIS_NAMES = ("cores", "driver", "flows", "flush-interval-us", "inject-latency-us", "nf")
+_SWEEP_SURFACE = {
+    **_SCENARIO_SURFACE,
+    ("--axis",): ("axis", str, _AXIS_NAMES, None, None, True),
+    ("--values",): ("values", str, None, None, "comma-separated axis values", True),
+}
+
+
+def _option_surface(command: str) -> dict:
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        tuple(a.option_strings): (
+            a.dest,
+            a.type or str,  # an untyped option's value is its string
+            tuple(a.choices) if a.choices is not None else None,
+            a.default,
+            a.help,
+            a.required,
+        )
+        for a in sub.choices[command]._actions
+    }
+
+
+@pytest.mark.parametrize(
+    "command, surface", [("run", _SCENARIO_SURFACE), ("sweep", _SWEEP_SURFACE)]
+)
+def test_flexbench_surface_is_pinned(command, surface):
+    assert _option_surface(command) == surface
+    assert tuple(bench.sweep_axes()) == _AXIS_NAMES
+    header = bench.reports_to_csv([]).splitlines()
+    assert header == [
+        "nf,driver,endpoint,cores,flush_interval_us,inject_latency_us,"
+        "flows,reps,mean_pps,stdev_pps,passed"
+    ]
 
 
 # Output formats.

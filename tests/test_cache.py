@@ -616,6 +616,53 @@ def test_waiting_call_that_times_out_on_the_barrier_dumps_its_batch(monkeypatch)
         assert probe.fetch(b.key) is None
 
 
+def _assert_dead_lettered(cache, info):
+    # A give-up counts its batch as a dead letter, and last_error names the
+    # dump the error names. The dump is removed.
+    path = re.search(r"(\S+\.json)", str(info.value)).group(1)
+    try:
+        assert cache.stats.dead_letters == 1
+        assert f"dead-lettered to {path}:" in cache.stats.last_error
+    finally:
+        os.unlink(path)
+
+
+def test_waiting_call_that_gives_up_reports_a_dead_letter(monkeypatch):
+    monkeypatch.setattr(cache_mod, "SYNC_TIMEOUT_S", 0.2)
+    cache, rec = recording_cache()
+    counter = StateContext(cache).create_counter("c")
+    rec.fail_applies = 10**9
+    with pytest.raises(StoreUnavailable, match="waiting call failed") as info:
+        counter.add(1)
+    _assert_dead_lettered(cache, info)
+    rec.fail_applies = 0
+    cache.drain()
+
+
+def test_barrier_time_out_reports_a_dead_letter(monkeypatch):
+    monkeypatch.setattr(cache_mod, "SYNC_TIMEOUT_S", 0.05)
+    cache, rec = recording_cache()
+    ctx = StateContext(cache)
+    a = ctx.create_counter("a")
+    b = ctx.create_counter("b")
+    rec.fail_applies = 1
+    a.add_nowait(1)
+    cache.flush_now()
+    with pytest.raises(StoreUnavailable, match="in-flight flush") as info:
+        b.add(1)
+    _assert_dead_lettered(cache, info)
+    cache.drain()
+
+
+def test_drain_that_gives_up_reports_a_dead_letter():
+    cache, rec = recording_cache()
+    StateContext(cache).create_counter("c").add_nowait(99)
+    rec.fail_applies = 10**9
+    with pytest.raises(StoreUnavailable, match="drain failed") as info:
+        cache.drain(timeout_s=0.2)
+    _assert_dead_lettered(cache, info)
+
+
 def test_waiting_call_survives_brief_outage():
     # Three lost links in a row cost a few milliseconds of backoff, well
     # inside the waiting call's deadline: the call returns once the store

@@ -2,6 +2,7 @@
 
 import socket
 import threading
+import time
 
 import pytest
 
@@ -426,6 +427,20 @@ def test_drop_connections_ends_every_serving_thread(mini_server):
     c = Client(mini_server.port)
     assert c.call(b"GET", b"k") == b"v"
     c.close()
+
+
+def test_closed_connections_are_forgotten(mini_server):
+    # Each serving thread drops itself and its socket when its client
+    # leaves, so a long-lived server holds only what is still open.
+    for _ in range(50):
+        c = Client(mini_server.port)
+        assert c.call(b"SET", b"k", b"v") == b"OK"
+        c.close()
+    deadline = time.monotonic() + 5
+    while len(mini_server._threads) > 1 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert len(mini_server._threads) == 1  # the acceptor
+    assert mini_server._conns == []
 
 
 def test_variadic_writes_count_each_entry_once(client):
