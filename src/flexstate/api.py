@@ -34,6 +34,7 @@ store's current value yields exactly the live value.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import TYPE_CHECKING
 
 from .drivers.base import Mutation, MutationBatch
@@ -232,8 +233,7 @@ class _CollectionHandle(_Handle):
 
     def _collect(self, batch: MutationBatch) -> int:
         pend = self._pend
-        key = self._key
-        batch.items += [(key, m) for m in pend.values()]
+        batch.items += zip(repeat(self._key), pend.values())
         count = len(pend)
         pend.clear()
         return count
@@ -267,10 +267,10 @@ class _MapHandleBase(_CollectionHandle):
         self._cache.apply_op(self, _CollectionHandle._drop)
 
     def _insert(self, fieldname: bytes, value) -> int:
-        delta = 0 if fieldname in self._pend else 1
-        self._pend[fieldname] = _new(Mutation, ("map_set", fieldname, value))
+        count = len(pend := self._pend)
+        pend[fieldname] = _new(Mutation, ("map_set", fieldname, value))
         self._live[fieldname] = value
-        return delta
+        return len(pend) - count
 
     def _remove(self, fieldname: bytes) -> int:
         delta = 0 if fieldname in self._pend else 1
@@ -283,8 +283,12 @@ class MapHandle(_MapHandleBase):
     __slots__ = ()
     _stype = StructureType.MAP
 
+    # A NAT calls get per packet and insert_nowait per new binding, so both
+    # make the checks' fast test inline: a call to the check costs more.
     def get(self, key: bytes) -> bytes | None:
-        return self._live.get(_check_map_key(key))
+        if type(key) is not bytes or len(key) > MAX_MAP_KEY_BYTES:
+            key = _check_map_key(key)
+        return self._live.get(key)
 
     def insert(self, key: bytes, value: bytes) -> None:
         self._cache.apply_op(
@@ -292,9 +296,11 @@ class MapHandle(_MapHandleBase):
         )
 
     def insert_nowait(self, key: bytes, value: bytes) -> None:
-        self._cache.apply_op(
-            self, _MapHandleBase._insert, _check_map_key(key), _check_element(value)
-        )
+        if type(key) is not bytes or len(key) > MAX_MAP_KEY_BYTES:
+            key = _check_map_key(key)
+        if type(value) is not bytes or len(value) > MAX_ELEMENT_BYTES:
+            value = _check_element(value)
+        self._cache.apply_op(self, _MapHandleBase._insert, key, value)
 
 
 class CounterMapHandle(_MapHandleBase):

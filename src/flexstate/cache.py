@@ -51,7 +51,7 @@ import os
 import tempfile
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NoReturn
 
 from .api import _HANDLE_BY_TYPE

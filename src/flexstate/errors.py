@@ -46,10 +46,6 @@ class BackpressureSignal(StateError):
     """The pending-mutation log is full; the caller must slow down."""
 
 
-class PoolExhausted(StateError):
-    """An address pool has no free entries left."""
-
-
 class EmptyServerList(StateError):
     """A load balancer was configured with no servers."""
 

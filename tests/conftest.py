@@ -1,5 +1,9 @@
 """Shared fixtures and reporting hooks for the test suite."""
 
+import glob
+import os
+import tempfile
+
 import pytest
 
 from flexstate.resp.server import MiniRespServer
@@ -12,6 +16,18 @@ def mini_server():
     server.start()
     yield server
     server.stop()
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_drain_dumps():
+    """Fail a test that leaves a new dead-letter dump in the temp directory:
+    a test that makes one reads its path from the stats and removes it."""
+    pattern = os.path.join(tempfile.gettempdir(), "flexstate-drain-*.json")
+    before = set(glob.glob(pattern))
+    yield
+    leaked = sorted(set(glob.glob(pattern)) - before)
+    if leaked:
+        pytest.fail(f"test left dead-letter dumps: {leaked}")
 
 
 _CRITERION_REPORTS = {}

@@ -206,6 +206,56 @@ def test_nat_restart_resumes_bindings_and_cursor():
     cache2.drain()
 
 
+def test_nat_backpressure_drops_and_skips():
+    # A limit of 2 pending mutations: a new binding makes two (the cursor's
+    # incr, the binding) right after a flush, so the next one is refused
+    # at the cursor's add; with a third structure's mutation pending, the
+    # add passes and the binding's insert is refused, which leaves the
+    # cursor past an entry that no flow gets.
+    driver = make_driver("flatkvs")
+    cache = CoreCache("nf1", "ins1", 0, driver, backpressure_limit=2, start_flusher=False)
+    ctx = StateContext(cache)
+    nat = NatNF(pool_size=10)
+    nat.setup(ctx)
+    other = ctx.create_counter("other")
+    outs = {}
+
+    def send(i):
+        out = nat.handle(flow_packet(i), ctx)
+        if out is not None:
+            outs.setdefault(i, (out.src_ip, out.src_port))
+            assert outs[i] == (out.src_ip, out.src_port)
+        return out
+
+    assert send(1) is not None  # entry 0
+    assert send(2) is None  # refused at the cursor's add
+    assert nat.summary()["allocated"] == 1
+    assert send(1) is not None  # a hit mutates nothing
+    cache.flush_now()
+    assert send(2) is not None  # entry 1: the refused add took no entry
+    cache.flush_now()
+    other.add_nowait(1)
+    assert send(3) is None  # refused at the binding's insert
+    assert nat.summary()["allocated"] == 3  # entry 2 is skipped
+    cache.flush_now()
+    assert send(3) is not None  # entry 3
+    assert send(4) is None
+    summary = nat.summary()
+    assert (summary["backpressure_drops"], summary["exhausted_drops"]) == (3, 0)
+    assert summary["allocated"] == 4
+    assert outs == {1: pool_entry(0), 2: pool_entry(1), 3: pool_entry(3)}
+    expected = {_FLOW.pack(*flow_packet(i)[:5]): struct.pack("!IH", *outs[i]) for i in outs}
+    assert nat.bindings_snapshot() == expected
+    cache.drain()
+    # The store holds the same: a restarted core resumes past entry 3.
+    ctx2, cache2 = make_ctx(driver)
+    nat2 = NatNF(pool_size=10)
+    nat2.setup(ctx2)
+    assert nat2.bindings_snapshot() == expected
+    assert nat2.summary()["allocated"] == 4
+    cache2.drain()
+
+
 def test_nat_binding_wire_sizes():
     driver = make_driver("flatkvs")
     ctx, cache = make_ctx(driver)

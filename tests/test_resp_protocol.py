@@ -1,12 +1,17 @@
 """RESP2 wire format: encoding, parsing, and malformed-input rejection."""
 
 import io
+import random
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from flexstate.drivers import resp as resp_driver
+from flexstate.drivers.base import Mutation
 from flexstate.errors import ConnectionLost, ProtocolError
+from flexstate.keys import StructureType, build_key
+from flexstate.limits import INT64_MAX, INT64_MIN
 from flexstate.resp import protocol
 from flexstate.resp.protocol import (
     RespError,
@@ -274,3 +279,82 @@ def test_split_commands_matches_parse_walk(commands, tail):
                 buf = stream[:cut]
                 assert _split_walk(buf) == _parse_walk(buf), cut
 
+
+def _encode_per_part(*parts):
+    """encode_command spelled one part at a time: the reference."""
+    out = b"*%d\r\n" % len(parts)
+    for part in parts:
+        out += b"$%d\r\n%s\r\n" % (len(part), part)
+    return out
+
+
+@pytest.mark.parametrize("count", [1, 2, 16, 17, 1023, 1024, 1025])
+def test_encode_command_matches_per_part_reference(count):
+    # Around the loop's crossover (16 parts) and the array header table's
+    # end (1024): parts whose headers all come from the table, then sizes
+    # cycling over the table's edge, then one formatted header last.
+    rng = random.Random(count)
+    small = [rng.randbytes(k % 512) for k in range(count)]
+    mixed = [rng.randbytes((0, 1, 511, 512)[k % 4]) for k in range(count)]
+    for parts in (small, mixed, small[:-1] + [b"x" * 512]):
+        assert encode_command(*parts) == _encode_per_part(*parts)
+
+
+@pytest.mark.parametrize("size", [0, 511, 512, 65536])
+@pytest.mark.parametrize("count", [16, 17])
+def test_encode_command_part_sizes_match_per_part_reference(count, size):
+    parts = [random.Random(size + k).randbytes(size) for k in range(count)]
+    parts[0] = b"HSET"
+    assert encode_command(*parts) == _encode_per_part(*parts)
+
+
+def _mutation(rng, kind):
+    """A seeded mutation of kind, with the field and value that kind takes."""
+
+    def blob():
+        return rng.randbytes(rng.choice((0, 1, 6, 13, 511, 512)))
+
+    n = rng.randint(INT64_MIN, INT64_MAX)
+    field = blob() if kind.startswith("map_") else None
+    if kind in ("delete", "map_del"):
+        value = None
+    elif kind.endswith("incr"):
+        value = n
+    elif kind in ("set_blob", "map_set"):
+        value = rng.choice((blob(), n))
+    else:
+        value = blob()
+    return Mutation(kind, field, value)
+
+
+def test_encode_batch_matches_per_part_reference():
+    # Batches of every kind over every structure type's keys, in same-key,
+    # same-kind runs of 1 to 40, so grouped commands reach past 16 parts.
+    rng = random.Random(22)
+    keys = [build_key("nf1", "ins1", 0, t, "s%d" % n) for t in StructureType for n in (1, 2)]
+    kinds = sorted(resp_driver._COMMANDS)
+    for _ in range(60):
+        items = []
+        while len(items) < 300:
+            key, kind = rng.choice(keys), rng.choice(kinds)
+            items += [(key, _mutation(rng, kind)) for _ in range(rng.choice((1, 2, 8, 40)))]
+        commands, starts = resp_driver._encode_batch(items)
+        assert max(len(parse_command(c)[0]) for c in commands) > 16
+        with mock.patch.object(protocol, "encode_command", _encode_per_part):
+            assert resp_driver._encode_batch(items) == (commands, starts)
+
+
+def test_split_commands_matches_parse_walk_on_grouped_commands():
+    # Flush-shaped reads: grouped HSETs of short fields, one of them with
+    # a field holding CRLF (parse_command takes it mid-read), cut at every
+    # offset, as a read that ends inside a command leaves them.
+    rng = random.Random(5)
+    hsets = [
+        encode_command(b"HSET", b"nf1@ins1@0@Map@m", *(rng.randbytes(k % 13) for k in range(40)))
+        for _ in range(4)
+    ]
+    hsets[2] = encode_command(b"HSET", b"nf1@ins1@0@Map@m", b"a\r\nb", b"v")
+    stream = b"".join(hsets)
+    for cut in range(len(stream) + 1):
+        buf = stream[:cut]
+        assert _split_walk(buf) == _parse_walk(buf), cut
