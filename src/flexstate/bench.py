@@ -21,6 +21,7 @@ from dataclasses import dataclass, field, fields, replace
 
 from .config import FlexConfig
 from .drivers import make_driver
+from .drivers.base import check_inject_latency
 from .nf import make_nf_factory
 from .nf.combine import (
     combine_counter_maps,
@@ -68,8 +69,7 @@ class BenchScenario:
             raise ValueError("cores must be at least 1")
         if out.repetitions < 1:
             raise ValueError("repetitions must be at least 1")
-        if out.inject_latency_us < 0:
-            raise ValueError("inject_latency_us must not be negative")
+        check_inject_latency(out.inject_latency_us)
         out.config(out.endpoint).validate()
         make_nf_factory(out.nf, **out.nf_params)
         return out
@@ -159,17 +159,14 @@ def _run_rep(scenario: BenchScenario, endpoint: str, seed: int) -> RepResult:
         flows = read_flow_file(scenario.flow_file)
     else:
         flows = generate_flows(scenario.n_flows, seed)
-    driver = make_driver(scenario.driver_label, endpoint)
+    driver = make_driver(
+        scenario.driver_label, endpoint, inject_latency_us=scenario.inject_latency_us
+    )
     control = driver.connect()
     try:
         driver.wipe(control)  # repetitions must not see earlier state
         config = scenario.config(endpoint)
-        pool = WorkerPool(
-            config,
-            scenario.cores,
-            driver,
-            inject_latency_us=scenario.inject_latency_us,
-        )
+        pool = WorkerPool(config, scenario.cores, driver)
         source = replay(
             flows, packet_size=scenario.packet_size, budget=scenario.budget
         )

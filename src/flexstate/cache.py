@@ -66,10 +66,11 @@ from .errors import (
 )
 from .keys import StructureType, build_key, check_structure_id
 
-DEFAULT_BACKPRESSURE_LIMIT = 2**20
+BACKPRESSURE_LIMIT = 2**20  # pending + retained mutations at which a fold is refused
 RETRY_BASE_S = 0.001
 RETRY_CAP_S = 0.100
 SYNC_TIMEOUT_S = 5.0
+DRAIN_TIMEOUT_S = 10.0
 _NO_ARG = object()  # an apply_op argument slot the mutator does not take
 
 
@@ -128,8 +129,6 @@ class CoreCache:
         driver: Driver,
         *,
         flush_interval_us: int = 1000,
-        inject_latency_us: int = 0,
-        backpressure_limit: int = DEFAULT_BACKPRESSURE_LIMIT,
         start_flusher: bool = True,
     ):
         check_flush_interval(flush_interval_us)
@@ -137,7 +136,8 @@ class CoreCache:
         self.instance_id = instance_id
         self.core_id = core_id
         self.driver = driver
-        self.backpressure_limit = backpressure_limit
+        # An instance attribute, not the global: apply_op reads it per call.
+        self.backpressure_limit = BACKPRESSURE_LIMIT
 
         self._registry: dict[str, object] = {}  # structure id -> handle
         self._dirty: dict[object, None] = {}
@@ -153,8 +153,8 @@ class CoreCache:
         self._inflight_swap: int | None = None
         self._retained_len = 0
 
-        self.worker_session = driver.connect(inject_latency_us=inject_latency_us)
-        self.flusher_session = driver.connect(inject_latency_us=inject_latency_us)
+        self.worker_session = driver.connect()
+        self.flusher_session = driver.connect()
         self.stats = FlushStats()
         self.flusher = Flusher(self, flush_interval_us)
         if start_flusher:
@@ -311,20 +311,20 @@ class CoreCache:
 
     # Shutdown.
 
-    def drain(self, timeout_s: float = 10.0) -> FlushStats:
+    def drain(self) -> FlushStats:
         """Stop the flusher, push everything left, close sessions.
 
         Once stopped, the flusher pushes its retained batch and then the
         final pending batch through the same path as a tick
         (Flusher.push_left): a batch the store refuses is dead-lettered
-        and drain goes on. Lost links are retried until timeout_s has
-        passed; then all that is left, retained batch first, is
+        and drain goes on. Lost links are retried until DRAIN_TIMEOUT_S
+        has passed; then all that is left, retained batch first, is
         dead-lettered as one batch and StoreUnavailable raised.
         """
         flusher = self.flusher
         flusher.stop()
         try:
-            _retry(time.monotonic() + timeout_s, flusher.push_left, True)
+            _retry(time.monotonic() + DRAIN_TIMEOUT_S, flusher.push_left, True)
         except ConnectionLost as exc:
             items = flusher.retained_batch.items + self.take_pending()[0].items
             self._give_up(MutationBatch(items), "drain failed", exc)

@@ -6,7 +6,7 @@ one-line config change and no NF code imports this package.
 
 from __future__ import annotations
 
-from ..errors import ConfigSyntaxError, UnknownDriver
+from ..errors import UnknownDriver
 from .base import (
     Driver,
     DriverSession,
@@ -37,17 +37,15 @@ def known_labels() -> frozenset[str]:
     return frozenset(_REGISTRY)
 
 
-def make_driver(label: str, endpoint: str = "local") -> Driver:
+def make_driver(
+    label: str, endpoint: str = "local", *, inject_latency_us: int = 0
+) -> Driver:
+    """The driver registered under label, for endpoint; every session it
+    opens pays inject_latency_us on each apply, fetch and scan."""
     cls = _REGISTRY.get(label)
     if cls is None:
         raise UnknownDriver(f"driver {label!r}; known: {sorted(_REGISTRY)}")
-    if label == "resp":
-        return cls(endpoint)
-    if endpoint != "local":
-        raise ConfigSyntaxError(
-            f"driver {label!r} is in-process; endpoint must be 'local'"
-        )
-    return cls()
+    return cls(endpoint, inject_latency_us=inject_latency_us)
 
 
 def from_config(config) -> Driver:

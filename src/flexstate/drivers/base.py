@@ -64,7 +64,7 @@ import threading
 import time
 from typing import ClassVar, NamedTuple
 
-from ..errors import ConnectionLost, TypeConflict
+from ..errors import ConfigSyntaxError, ConnectionLost, TypeConflict
 from ..keys import StoreKey, StructureType, key_prefix, parse_key
 from ..limits import check_int64
 
@@ -148,15 +148,15 @@ class DriverSession:
 
     Callers may go through the bound helpers (session.apply(...)) or call
     the driver directly (driver.apply(session, ...)); both paths are the
-    same code. inject_latency_us adds one synthetic round trip of delay to
-    every apply/fetch/scan, which is how remote-store latency is modeled
-    for in-process stores.
+    same code. The driver's inject_latency_us, set when it is made, adds
+    one synthetic round trip of delay to every apply, fetch and scan of
+    each of its sessions, which is how a remote store's distance is
+    modeled.
     """
 
-    def __init__(self, driver: "Driver", session_id: int, inject_latency_us: int = 0):
+    def __init__(self, driver: "Driver", session_id: int):
         self.driver = driver
         self.session_id = session_id
-        self.inject_latency_s = inject_latency_us / 1_000_000
         self.closed = False
         self._seq = itertools.count(1)
 
@@ -184,41 +184,48 @@ class DriverSession:
         self.close()
 
 
+def check_inject_latency(inject_latency_us: int) -> None:
+    """Refuse a negative injected latency."""
+    if inject_latency_us < 0:
+        raise ValueError("inject_latency_us must not be negative")
+
+
 class Driver:
     """Base class wiring sessions, latency injection, and seq stamping."""
 
     label: ClassVar[str] = ""
 
-    def __init__(self):
+    def __init__(self, *, inject_latency_us: int = 0):
+        check_inject_latency(inject_latency_us)
+        self.inject_latency_s = inject_latency_us / 1_000_000
         self._session_ids = itertools.count(1)
 
-    def connect(self, *, inject_latency_us: int = 0) -> DriverSession:
-        session = self._make_session(next(self._session_ids), inject_latency_us)
-        return session
+    def connect(self) -> DriverSession:
+        return self._make_session(next(self._session_ids))
 
-    def _make_session(self, session_id: int, inject_latency_us: int) -> DriverSession:
-        return DriverSession(self, session_id, inject_latency_us)
+    def _make_session(self, session_id: int) -> DriverSession:
+        return DriverSession(self, session_id)
 
     def apply(self, session: DriverSession, batch: MutationBatch) -> None:
         # _check_open and _pause spelled out: each waiting call runs this.
         if session.closed:
             raise ConnectionLost("session is closed")
-        if session.inject_latency_s:
-            time.sleep(session.inject_latency_s)
+        if self.inject_latency_s:
+            time.sleep(self.inject_latency_s)
         if batch.seq == UNSET_SEQ:
             batch.seq = session.next_seq()
         self._apply(session, batch)
 
     def fetch(self, session: DriverSession, key: StoreKey):
         self._check_open(session)
-        self._pause(session)
+        self._pause()
         return self._fetch(session, key)
 
     def scan_prefix(
         self, session: DriverSession, nf_id: str, instance_id: str
     ) -> list[tuple[StoreKey, object]]:
         self._check_open(session)
-        self._pause(session)
+        self._pause()
         return self._scan(session, nf_id, instance_id)
 
     def wipe(self, session: DriverSession) -> None:
@@ -232,10 +239,9 @@ class Driver:
     def close(self) -> None:
         pass
 
-    @staticmethod
-    def _pause(session: DriverSession) -> None:
-        if session.inject_latency_s:
-            time.sleep(session.inject_latency_s)
+    def _pause(self) -> None:
+        if self.inject_latency_s:
+            time.sleep(self.inject_latency_s)
 
     @staticmethod
     def _check_open(session: DriverSession) -> None:
@@ -260,8 +266,12 @@ class Driver:
 class LocalDriver(Driver):
     """In-process store skeleton: the data dict, lock, seq dedup, validation."""
 
-    def __init__(self):
-        super().__init__()
+    def __init__(self, endpoint: str, *, inject_latency_us: int = 0):
+        if endpoint != "local":
+            raise ConfigSyntaxError(
+                f"driver {self.label!r} is in-process; endpoint must be 'local'"
+            )
+        super().__init__(inject_latency_us=inject_latency_us)
         self._data: dict = {}
         self._lock = threading.Lock()
         self._applied: dict[int, int] = {}  # session id -> last applied seq

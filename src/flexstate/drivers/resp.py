@@ -94,6 +94,25 @@ _COMMANDS = {
 # Kinds whose same-key runs travel as one variadic command.
 _GROUPED = frozenset({"map_set", "map_del", "set_add", "set_del"})
 
+# How a fetch reads each structure type: the command's name, its
+# arguments after the key, and the decoder of its reply.
+_FETCH = {
+    StructureType.NAME_VALUE: (b"GET", (), lambda reply: reply),
+    StructureType.COUNTER: (
+        b"GET", (), lambda reply: None if reply is None else as_int(reply)
+    ),
+    StructureType.MAP: (
+        b"HGETALL", (), lambda reply: dict(zip(reply[0::2], reply[1::2])) or None
+    ),
+    StructureType.COUNTER_MAP: (
+        b"HGETALL",
+        (),
+        lambda reply: {f: as_int(v) for f, v in zip(reply[0::2], reply[1::2])} or None,
+    ),
+    StructureType.LIST: (b"LRANGE", (b"0", b"-1"), lambda reply: list(reply) or None),
+    StructureType.SET: (b"SMEMBERS", (), lambda reply: set(reply) or None),
+}
+
 # Each glob metacharacter as a one-character class, which Redis glob and
 # fnmatch both read as the literal character.
 _GLOB_LITERAL = str.maketrans(
@@ -160,8 +179,8 @@ def _encode_batch(items: list) -> tuple[list[bytes], list[int]]:
 
 
 class RespSession(DriverSession):
-    def __init__(self, driver, session_id, inject_latency_us, address):
-        super().__init__(driver, session_id, inject_latency_us)
+    def __init__(self, driver, session_id, address):
+        super().__init__(driver, session_id)
         self._address = address
         self._sock: socket.socket | None = None
         self._reader = None
@@ -273,16 +292,16 @@ class RespSession(DriverSession):
 class RespDriver(Driver):
     label = "resp"
 
-    def __init__(self, endpoint: str):
-        super().__init__()
+    def __init__(self, endpoint: str, *, inject_latency_us: int = 0):
+        super().__init__(inject_latency_us=inject_latency_us)
         address = parse_endpoint(endpoint)
         if address is None:
             raise ConfigSyntaxError("resp driver needs a host:port endpoint")
         self._address = address
         self.endpoint = endpoint
 
-    def _make_session(self, session_id: int, inject_latency_us: int) -> RespSession:
-        return RespSession(self, session_id, inject_latency_us, self._address)
+    def _make_session(self, session_id: int) -> RespSession:
+        return RespSession(self, session_id, self._address)
 
     def _apply(self, session: RespSession, batch: MutationBatch) -> None:
         commands, starts = _encode_batch(batch.items)
@@ -295,38 +314,9 @@ class RespDriver(Driver):
             raise
 
     def _fetch(self, session: RespSession, key: StoreKey):
-        reply = session.exchange([self._fetch_command(key)])[0]
-        return self._decode_fetch(key.structure_type, reply)
-
-    @staticmethod
-    def _fetch_command(key: StoreKey) -> bytes:
-        rendered = key.encoded
-        stype = key.structure_type
-        if stype in (StructureType.NAME_VALUE, StructureType.COUNTER):
-            return protocol.encode_command(b"GET", rendered)
-        if stype in (StructureType.MAP, StructureType.COUNTER_MAP):
-            return protocol.encode_command(b"HGETALL", rendered)
-        if stype is StructureType.LIST:
-            return protocol.encode_command(b"LRANGE", rendered, b"0", b"-1")
-        return protocol.encode_command(b"SMEMBERS", rendered)
-
-    @staticmethod
-    def _decode_fetch(stype: StructureType, reply):
-        if stype is StructureType.NAME_VALUE:
-            return reply
-        if stype is StructureType.COUNTER:
-            return None if reply is None else as_int(reply)
-        if stype is StructureType.MAP:
-            pairs = dict(zip(reply[0::2], reply[1::2]))
-            return pairs or None
-        if stype is StructureType.COUNTER_MAP:
-            pairs = {f: as_int(v) for f, v in zip(reply[0::2], reply[1::2])}
-            return pairs or None
-        if stype is StructureType.LIST:
-            return list(reply) or None
-        if stype is StructureType.SET:
-            return set(reply) or None
-        raise TypeConflict(f"unknown structure type {stype!r}")
+        name, tail, decode = _FETCH[key.structure_type]
+        command = protocol.encode_command(name, key.encoded, *tail)
+        return decode(session.exchange([command])[0])
 
     def _scan(self, session: RespSession, nf_id: str, instance_id: str):
         pattern = key_prefix(nf_id, instance_id).translate(_GLOB_LITERAL) + "*"
@@ -336,12 +326,16 @@ class RespDriver(Driver):
         # latin-1 takes any byte, so parse_key refuses a non-ASCII key too.
         keys = [parse_key(raw.decode("latin-1")) for raw in reply]
         keys.sort(key=StoreKey.render)
-        commands = [self._fetch_command(key) for key in keys]
+        reads = [_FETCH[key.structure_type] for key in keys]
+        commands = [
+            protocol.encode_command(name, key.encoded, *tail)
+            for key, (name, tail, _decode) in zip(keys, reads)
+        ]
         replies = session.exchange(commands) if commands else []
-        out = []
-        for key, fetched in zip(keys, replies):
-            out.append((key, self._decode_fetch(key.structure_type, fetched)))
-        return out
+        return [
+            (key, decode(fetched))
+            for key, (_name, _tail, decode), fetched in zip(keys, reads, replies)
+        ]
 
     def _wipe(self, session: RespSession) -> None:
         session.exchange([protocol.encode_command(b"FLUSHALL")])

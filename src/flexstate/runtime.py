@@ -1,7 +1,7 @@
 """Simulated multi-core packet runtime.
 
 A dispatcher thread plays the NIC. It pulls the packet stream in slabs of
-chunk_packets and feeds bounded per-core queues in chunks:
+CHUNK_PACKETS and feeds per-core queues of QUEUE_PACKETS in chunks:
 
   one core: one queue, so no flow hashing at all; each slab is offered
     as it is, which cuts the stream straight into chunks (full chunks,
@@ -45,8 +45,8 @@ from . import drivers
 
 MIN_PACKET_SIZE = 54
 DEFAULT_PACKET_SIZE = 64
-DEFAULT_QUEUE_PACKETS = 65536
-DEFAULT_CHUNK_PACKETS = 256
+QUEUE_PACKETS = 65536
+CHUNK_PACKETS = 256
 
 _M64 = (1 << 64) - 1
 
@@ -165,7 +165,6 @@ class _Worker(threading.Thread):
                 self.core_id,
                 pool.driver,
                 flush_interval_us=config.flush_interval_us,
-                inject_latency_us=pool.inject_latency_us,
             )
             ctx = StateContext(self.cache, pool.n_cores)
             self.nf = self.nf_factory()
@@ -208,24 +207,12 @@ class _Worker(threading.Thread):
 class WorkerPool:
     """Dispatcher plus one worker thread per simulated core."""
 
-    def __init__(
-        self,
-        config: FlexConfig,
-        n_cores: int,
-        driver=None,
-        *,
-        queue_packets: int = DEFAULT_QUEUE_PACKETS,
-        chunk_packets: int = DEFAULT_CHUNK_PACKETS,
-        inject_latency_us: int = 0,
-    ):
+    def __init__(self, config: FlexConfig, n_cores: int, driver=None):
         if n_cores < 1:
             raise ValueError("n_cores must be at least 1")
         self.config = config
         self.n_cores = n_cores
         self.driver = driver if driver is not None else drivers.from_config(config)
-        self.chunk_packets = chunk_packets
-        self.queue_chunks = max(1, queue_packets // chunk_packets)
-        self.inject_latency_us = inject_latency_us
         self.workers: list[_Worker] = []
 
     def run(
@@ -237,14 +224,15 @@ class WorkerPool:
         nf_name: str = "nf",
     ) -> RunReport:
         n = self.n_cores
-        inboxes = [queue.Queue(maxsize=self.queue_chunks) for _ in range(n)]
+        queue_chunks = max(1, QUEUE_PACKETS // CHUNK_PACKETS)
+        inboxes = [queue.Queue(maxsize=queue_chunks) for _ in range(n)]
         self.workers = [
             _Worker(self, core, inboxes[core], nf_factory) for core in range(n)
         ]
         for w in self.workers:
             w.start()
 
-        chunk_size = self.chunk_packets
+        chunk_size = CHUNK_PACKETS
         lossless = duration_s is None
         buffers: list[list] = [[] for _ in range(n)]
         queue_dropped = [0] * n

@@ -116,8 +116,8 @@ class RecordingDriver(Driver):
         self.scans = 0
         self._record_lock = threading.Lock()
 
-    def _make_session(self, session_id: int, inject_latency_us: int):
-        session = _RecordingSession(self, session_id, inject_latency_us)
+    def _make_session(self, session_id: int):
+        session = _RecordingSession(self, session_id)
         session.inner = self.inner.connect()
         return session
 

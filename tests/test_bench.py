@@ -6,6 +6,7 @@ correctness checks, sweeps, and output formats, not to measure throughput.
 
 import argparse
 import csv
+import inspect
 import io
 import json
 import os
@@ -13,7 +14,17 @@ import os
 import pytest
 
 from flexstate import bench
+from flexstate.cache import CoreCache
 from flexstate.cli import build_parser, main
+from flexstate.drivers import (
+    Driver,
+    FlatKvsDriver,
+    RespDriver,
+    TableStoreDriver,
+    known_labels,
+    make_driver,
+)
+from flexstate.runtime import WorkerPool
 
 
 def tiny(**overrides) -> bench.BenchScenario:
@@ -253,6 +264,40 @@ def test_flexbench_surface_is_pinned(command, surface):
         "nf,driver,endpoint,cores,flush_interval_us,inject_latency_us,"
         "flows,reps,mean_pps,stdev_pps,passed"
     ]
+
+
+# The library's run settings. A knob added to one of these calls fails
+# here until the literal is edited on purpose.
+_CALL_SURFACE = {
+    CoreCache.__init__: (
+        "(self, nf_id, instance_id, core_id, driver, *, "
+        "flush_interval_us=1000, start_flusher=True)"
+    ),
+    CoreCache.drain: "(self)",
+    WorkerPool.__init__: "(self, config, n_cores, driver=None)",
+    WorkerPool.run: "(self, nf_factory, packets, *, duration_s=None, nf_name='nf')",
+    make_driver: "(label, endpoint='local', *, inject_latency_us=0)",
+    Driver.connect: "(self)",
+    FlatKvsDriver: "(endpoint, *, inject_latency_us=0)",
+    TableStoreDriver: "(endpoint, *, inject_latency_us=0)",
+    RespDriver: "(endpoint, *, inject_latency_us=0)",
+}
+
+
+def _bare_signature(obj) -> str:
+    """obj's parameters and defaults as source spells them, unannotated."""
+    signature = inspect.signature(obj)
+    params = [
+        p.replace(annotation=inspect.Parameter.empty)
+        for p in signature.parameters.values()
+    ]
+    return str(signature.replace(parameters=params, return_annotation=inspect.Signature.empty))
+
+
+def test_library_surface_is_pinned():
+    assert {c.label for c in (FlatKvsDriver, TableStoreDriver, RespDriver)} == known_labels()
+    surface = {obj: _bare_signature(obj) for obj in _CALL_SURFACE}
+    assert surface == _CALL_SURFACE
 
 
 # Output formats.
@@ -496,8 +541,8 @@ def test_dead_lettered_batch_fails_the_repetition(monkeypatch):
 
     drivers = []
 
-    def make_refusing(label, endpoint="local"):
-        driver = RefuseOnce(bench_make_driver(label, endpoint))
+    def make_refusing(label, endpoint="local", **kwargs):
+        driver = RefuseOnce(bench_make_driver(label, endpoint, **kwargs))
         drivers.append(driver)
         return driver
 
@@ -551,8 +596,8 @@ def test_lost_cursor_increment_fails_the_repetition(monkeypatch):
 
     drivers = []
 
-    def make_dropping(label, endpoint="local"):
-        driver = DropOneCursorIncr(bench_make_driver(label, endpoint))
+    def make_dropping(label, endpoint="local", **kwargs):
+        driver = DropOneCursorIncr(bench_make_driver(label, endpoint, **kwargs))
         drivers.append(driver)
         return driver
 

@@ -654,12 +654,13 @@ def test_barrier_time_out_reports_a_dead_letter(monkeypatch):
     cache.drain()
 
 
-def test_drain_that_gives_up_reports_a_dead_letter():
+def test_drain_that_gives_up_reports_a_dead_letter(monkeypatch):
+    monkeypatch.setattr(cache_mod, "DRAIN_TIMEOUT_S", 0.2)
     cache, rec = recording_cache()
     StateContext(cache).create_counter("c").add_nowait(99)
     rec.fail_applies = 10**9
     with pytest.raises(StoreUnavailable, match="drain failed") as info:
-        cache.drain(timeout_s=0.2)
+        cache.drain()
     _assert_dead_lettered(cache, info)
 
 
@@ -715,8 +716,9 @@ def test_new_mutations_during_outage_stay_separate():
     cache.drain()
 
 
-def test_backpressure_trips_at_limit():
-    cache, _rec = recording_cache(backpressure_limit=100)
+def test_backpressure_trips_at_limit(monkeypatch):
+    monkeypatch.setattr(cache_mod, "BACKPRESSURE_LIMIT", 100)
+    cache, _rec = recording_cache()
     ctx = StateContext(cache)
     lst = ctx.create_list("L")
     for _ in range(100):
@@ -729,8 +731,9 @@ def test_backpressure_trips_at_limit():
     cache.drain()
 
 
-def test_retained_batch_counts_against_backpressure():
-    cache, rec = recording_cache(backpressure_limit=10)
+def test_retained_batch_counts_against_backpressure(monkeypatch):
+    monkeypatch.setattr(cache_mod, "BACKPRESSURE_LIMIT", 10)
+    cache, rec = recording_cache()
     ctx = StateContext(cache)
     lst = ctx.create_list("L")
     for _ in range(10):
@@ -783,14 +786,15 @@ def test_drain_pushes_retained_batch_once_store_is_back():
     assert cache.flusher.retained_batch is None
 
 
-def test_drain_dumps_batch_when_store_stays_down():
+def test_drain_dumps_batch_when_store_stays_down(monkeypatch):
+    monkeypatch.setattr(cache_mod, "DRAIN_TIMEOUT_S", 0.2)
     cache, rec = recording_cache()
     ctx = StateContext(cache)
     counter = ctx.create_counter("c")
     counter.add_nowait(99)
     rec.fail_applies = 10**9
     with pytest.raises(StoreUnavailable) as info:
-        cache.drain(timeout_s=0.2)
+        cache.drain()
     message = str(info.value)
     path = next(p for p in message.split() if p.endswith(".json:"))[:-1]
     try:
@@ -808,9 +812,10 @@ def test_drain_dumps_batch_when_store_stays_down():
         os.unlink(path)
 
 
-def test_drain_dumps_every_batch_left_when_store_stays_down():
+def test_drain_dumps_every_batch_left_when_store_stays_down(monkeypatch):
     # The retained batch and the final one both stay unapplied: the dump
     # must hold both, in order, not only the first.
+    monkeypatch.setattr(cache_mod, "DRAIN_TIMEOUT_S", 0.2)
     cache, rec = recording_cache()
     ctx = StateContext(cache)
     counter = ctx.create_counter("c")
@@ -821,7 +826,7 @@ def test_drain_dumps_every_batch_left_when_store_stays_down():
     assert cache.flusher.retained_batch is not None
     m.insert_nowait(b"k", b"v")
     with pytest.raises(StoreUnavailable) as info:
-        cache.drain(timeout_s=0.2)
+        cache.drain()
     message = str(info.value)
     path = next(p for p in message.split() if p.endswith(".json:"))[:-1]
     try:
@@ -1052,11 +1057,12 @@ def test_store_error_dead_letters_batch_and_flusher_survives(label, mini_server)
 
 
 @pytest.mark.parametrize("label", ["flatkvs", "tablestore", "resp"])
-def test_drain_dead_letters_refused_batch(label, mini_server):
+def test_drain_dead_letters_refused_batch(label, mini_server, monkeypatch):
     # The flusher's first try at incr(10) loses the connection, so drain
     # finds it retained; by then another session has left the counter 5
     # below the int64 limit and the store refuses it. drain must write
     # that batch out, report it, push the next batch and close sessions.
+    monkeypatch.setattr(cache_mod, "DRAIN_TIMEOUT_S", 1.0)
     endpoint = mini_server.endpoint if label == "resp" else "local"
     inner = make_driver(label, endpoint)
     rec = RecordingDriver(inner)
@@ -1074,7 +1080,7 @@ def test_drain_dead_letters_refused_batch(label, mini_server):
     other.insert_nowait(b"k", b"v")
     path = None
     try:
-        stats = cache.drain(timeout_s=1.0)
+        stats = cache.drain()
         assert stats.dead_letters == 1
         message = stats.last_error
         assert message.startswith("batch dead-lettered to ")
@@ -1243,10 +1249,8 @@ def test_idle_flusher_runs_no_ticks():
 def test_waiting_calls_alone_never_wake_the_flusher():
     # Each call waits out an injected 100 us round trip, so the 300 calls
     # span at least 30 flush intervals.
-    driver = make_driver("flatkvs")
-    cache = make_cache(
-        driver, start_flusher=True, flush_interval_us=1000, inject_latency_us=100
-    )
+    driver = make_driver("flatkvs", inject_latency_us=100)
+    cache = make_cache(driver, start_flusher=True, flush_interval_us=1000)
     counter = StateContext(cache).create_counter("c")
     for _ in range(300):
         counter.add(1)

@@ -30,6 +30,7 @@ from flexstate.drivers import (
     set_del,
 )
 from flexstate.api import StateContext
+import flexstate.cache as cache_mod
 from flexstate.cache import RETRY_BASE_S, CoreCache
 from flexstate.config import FlexConfig
 from flexstate.drivers.base import UNSET_SEQ, Mutation
@@ -829,11 +830,19 @@ def test_from_config():
 
 
 def test_latency_injection_delays_apply():
-    drv = make_driver("flatkvs")
-    with drv.connect(inject_latency_us=20000) as s:
+    drv = make_driver("flatkvs", inject_latency_us=20000)
+    with drv.connect() as s:
         t0 = time.monotonic()
         apply_items(s, [(K_COUNTER, incr(1))])
         assert time.monotonic() - t0 >= 0.02
+
+
+@pytest.mark.parametrize(
+    "label, endpoint", [("flatkvs", "local"), ("tablestore", "local"), ("resp", "127.0.0.1:1")]
+)
+def test_negative_latency_is_refused_when_the_driver_is_made(label, endpoint):
+    with pytest.raises(ValueError, match="inject_latency_us must not be negative"):
+        make_driver(label, endpoint, inject_latency_us=-1)
 
 
 @pytest.fixture
@@ -1030,7 +1039,7 @@ def test_resp_lost_link_trims_answered_head(scripted_peer, k):
     assert batch.items == items[starts[k] :]
 
 
-def test_resp_drain_dumps_only_unanswered_mutations(scripted_peer):
+def test_resp_drain_dumps_only_unanswered_mutations(scripted_peer, monkeypatch):
     # A flush loses the link after one of its commands is answered, and the
     # store stays down: the retained batch and the drain dump hold only the
     # mutations the store never answered, also through a wrapping driver.
@@ -1063,8 +1072,9 @@ def test_resp_drain_dumps_only_unanswered_mutations(scripted_peer):
     peer.close()  # from here on a reconnect is refused
     cache.flush_now()
     assert cache.flusher.retained_batch.items == left
+    monkeypatch.setattr(cache_mod, "DRAIN_TIMEOUT_S", 0.2)
     with pytest.raises(StoreUnavailable) as info:
-        cache.drain(timeout_s=0.2)
+        cache.drain()
     path = next(p for p in str(info.value).split() if p.endswith(".json:"))[:-1]
     try:
         with open(path) as fh:

@@ -4,6 +4,7 @@ import struct
 
 import pytest
 
+import flexstate.cache as cache_mod
 from flexstate.api import StateContext
 from flexstate.cache import CoreCache
 from flexstate.drivers import make_driver
@@ -206,14 +207,15 @@ def test_nat_restart_resumes_bindings_and_cursor():
     cache2.drain()
 
 
-def test_nat_backpressure_drops_and_skips():
+def test_nat_backpressure_drops_and_skips(monkeypatch):
     # A limit of 2 pending mutations: a new binding makes two (the cursor's
     # incr, the binding) right after a flush, so the next one is refused
     # at the cursor's add; with a third structure's mutation pending, the
     # add passes and the binding's insert is refused, which leaves the
     # cursor past an entry that no flow gets.
+    monkeypatch.setattr(cache_mod, "BACKPRESSURE_LIMIT", 2)
     driver = make_driver("flatkvs")
-    cache = CoreCache("nf1", "ins1", 0, driver, backpressure_limit=2, start_flusher=False)
+    cache = CoreCache("nf1", "ins1", 0, driver, start_flusher=False)
     ctx = StateContext(cache)
     nat = NatNF(pool_size=10)
     nat.setup(ctx)

@@ -1,10 +1,13 @@
 """Dispatch runtime: flow hashing, queueing, conservation, reports."""
 
 import json
+import os
+import re
 import threading
 
 import pytest
 
+import flexstate.cache as cache_mod
 from flexstate import runtime
 from flexstate.api import StateContext
 from flexstate.config import FlexConfig
@@ -19,6 +22,7 @@ from flexstate.runtime import (
     make_packet,
     rss_hash,
 )
+from flexstate.testing import RecordingDriver
 from flexstate.trafficgen import generate_flows, replay
 
 CONFIG = FlexConfig(
@@ -160,7 +164,7 @@ def test_nf_drops_counted_separately():
     assert report.conservation_ok()
 
 
-def test_timed_run_drops_overflow_instead_of_blocking():
+def test_timed_run_drops_overflow_instead_of_blocking(monkeypatch):
     # Tiny queues plus a slow NF force the dispatcher to shed load.
     class SlowNF(CountingNF):
         def handle(self, packet, ctx):
@@ -169,8 +173,10 @@ def test_timed_run_drops_overflow_instead_of_blocking():
             return packet
 
     flows = generate_flows(100, seed=5)
+    monkeypatch.setattr(runtime, "QUEUE_PACKETS", 512)
+    monkeypatch.setattr(runtime, "CHUNK_PACKETS", 64)
     driver = make_driver("flatkvs")
-    pool = WorkerPool(CONFIG, 2, driver, queue_packets=512, chunk_packets=64)
+    pool = WorkerPool(CONFIG, 2, driver)
     report = pool.run(
         SlowNF, replay(flows), duration_s=0.3, nf_name="slow"
     )
@@ -252,10 +258,11 @@ class SlowNF(CountingNF):
 
 
 @pytest.mark.parametrize("count", [0, 1, 255, 256, 257, 1000])
-def test_one_core_delivers_every_packet_once_in_order(count):
+def test_one_core_delivers_every_packet_once_in_order(count, monkeypatch):
+    monkeypatch.setattr(runtime, "CHUNK_PACKETS", 256)
     source = numbered_packets(count)
     driver = make_driver("flatkvs")
-    pool = WorkerPool(CONFIG, 1, driver, chunk_packets=256)
+    pool = WorkerPool(CONFIG, 1, driver)
     report = pool.run(CountingNF, source, nf_name="counting")
     assert pool.workers[0].nf.seen == source
     assert report.packets_in == report.processed == report.forwarded == count
@@ -263,10 +270,12 @@ def test_one_core_delivers_every_packet_once_in_order(count):
     assert report.conservation_ok()
 
 
-def test_one_core_timed_run_sheds_whole_chunks():
+def test_one_core_timed_run_sheds_whole_chunks(monkeypatch):
+    monkeypatch.setattr(runtime, "QUEUE_PACKETS", 512)
+    monkeypatch.setattr(runtime, "CHUNK_PACKETS", 64)
     flows = generate_flows(100, seed=5)
     driver = make_driver("flatkvs")
-    pool = WorkerPool(CONFIG, 1, driver, queue_packets=512, chunk_packets=64)
+    pool = WorkerPool(CONFIG, 1, driver)
     report = pool.run(SlowNF, replay(flows), duration_s=0.3, nf_name="slow")
     assert report.packets_in > 0
     assert report.conservation_ok()
@@ -329,3 +338,23 @@ def test_source_error_stops_cores_and_drains():
     assert live == 1000  # every packet the source gave was processed
     with driver.connect() as session:
         assert combine_counters(session, "nf1", "ins1", "pktCounter") == live
+
+
+def test_run_whose_drain_gives_up_reports_the_dead_letter(monkeypatch):
+    # The store stays unreachable, so the core's drain gives up once
+    # DRAIN_TIMEOUT_S has passed: the run fails naming the drain, and the
+    # core's report still counts the dead letter and names its dump.
+    monkeypatch.setattr(cache_mod, "DRAIN_TIMEOUT_S", 0.2)
+    driver = RecordingDriver(make_driver("flatkvs"))
+    driver.fail_applies = 10**9
+    pool = WorkerPool(CONFIG, 1, driver)
+    with pytest.raises(RuntimeError, match="drain failed"):
+        pool.run(
+            make_nf_factory("counter-async"),
+            replay(generate_flows(100, 1), budget=1000),
+            nf_name="counter",
+        )
+    flush = pool.workers[0].report.flush
+    path = re.search(r"dead-lettered to (\S+\.json):", flush["last_error"]).group(1)
+    os.unlink(path)
+    assert flush["dead_letters"] == 1

@@ -93,6 +93,9 @@ def test_flow_file_render_frozen():
         FLOWFILE_HEADER + "\nnotanip,198.19.0.2,5000,80,6\n",
         FLOWFILE_HEADER + "\n198.18.0.1,198.19.0.2,70000,80,6\n",  # port range
         FLOWFILE_HEADER + "\n198.18.0.1,198.19.0.2,5000,80,300\n",  # proto range
+        FLOWFILE_HEADER + "\n198.18.0.1,198.19.0.2,8\u00b2,80,6\n",  # superscript port
+        FLOWFILE_HEADER + "\n198.18.0.\u00b2,198.19.0.2,5000,80,6\n",  # superscript octet
+        FLOWFILE_HEADER + "\n198.18.0.\u0661,198.19.0.2,5000,80,6\n",  # Arabic-Indic 1
         FLOWFILE_HEADER + "\n",  # no flows
     ],
 )
