@@ -40,9 +40,9 @@ refuses (ProtocolError) leaves the stream inside a frame, so exchange
 drops the link before it raises and the next exchange reconnects.
 
 A batch of one mutation, which is what a waiting call on a structure
-with nothing else pending sends, encodes without the argument list a run
-needs, and its one command goes out and back without the chunk loop:
-one sendall, one read_reply.
+with nothing else pending sends, skips the run loop: _encode_one (which
+also encodes each run of one) makes its command, and it goes out and
+back without the chunk loop: one sendall, one read_reply, one type check.
 
 Timeouts are the kernel's: a connected socket is blocking, with
 SO_RCVTIMEO and SO_SNDTIMEO set to _IO_TIMEOUT_S. A Python-level socket
@@ -129,21 +129,33 @@ def _raise_reply(error: RespError):
     raise ProtocolError(f"unexpected error reply: {message}")
 
 
+def _encode_one(key: StoreKey, m) -> bytes:
+    """The command of one mutation: a run of one, or a one-mutation batch."""
+    kind, field, value = m
+    name = _COMMANDS.get(kind)
+    if name is None:
+        raise ProtocolError(f"unknown mutation kind {kind!r}")
+    if isinstance(value, int):
+        value = b"%d" % value
+    encode = protocol.encode_command  # looked up per call, so it can be wrapped
+    if field is None:
+        return encode(name, key.encoded) if value is None else encode(name, key.encoded, value)
+    if value is None:
+        return encode(name, key.encoded, field)
+    return encode(name, key.encoded, field, value)
+
+
 def _encode_batch(items: list) -> tuple[list[bytes], list[int]]:
     """Commands for a batch's mutations, in batch order, and where each
     starts: starts[k] is the index of the first item command k carries.
     """
-    encode = protocol.encode_command
     commands = []
     starts = []
     n = len(items)
     i = 0
     while i < n:
         key, m = items[i]
-        kind, field, value = m
-        name = _COMMANDS.get(kind)
-        if name is None:
-            raise ProtocolError(f"unknown mutation kind {kind!r}")
+        kind = m.kind
         j = i + 1
         if kind in _GROUPED:
             end = min(i + _GROUP_MAX, n)
@@ -153,26 +165,15 @@ def _encode_batch(items: list) -> tuple[list[bytes], list[int]]:
                     break
                 j += 1
         if j == i + 1:
-            # A run of one, as in a waiting call's batch: no argument list.
-            if isinstance(value, int):
-                value = b"%d" % value
-            if field is None:
-                if value is None:
-                    commands.append(encode(name, key.encoded))
-                else:
-                    commands.append(encode(name, key.encoded, value))
-            elif value is None:
-                commands.append(encode(name, key.encoded, field))
-            else:
-                commands.append(encode(name, key.encoded, field, value))
+            commands.append(_encode_one(key, m))
         else:
-            args = [name, key.encoded]
+            args = [_COMMANDS[kind], key.encoded]
             for _k, (_kind, field, value) in items[i:j]:
                 if field is not None:
                     args.append(field)
                 if value is not None:
                     args.append(b"%d" % value if isinstance(value, int) else value)
-            commands.append(encode(*args))
+            commands.append(protocol.encode_command(*args))
         starts.append(i)
         i = j
     return commands, starts
@@ -266,7 +267,10 @@ class RespSession(DriverSession):
             # next exchange must not read the rest of it as its own reply.
             self.drop_link()
             raise
-        if RespError in map(type, replies):
+        if n == 1:
+            if type(replies[0]) is RespError:
+                _raise_reply(replies[0])
+        elif RespError in map(type, replies):
             _raise_reply(next(r for r in replies if type(r) is RespError))
         return replies
 
@@ -304,6 +308,9 @@ class RespDriver(Driver):
         return RespSession(self, session_id, self._address)
 
     def _apply(self, session: RespSession, batch: MutationBatch) -> None:
+        if len(batch.items) == 1:  # one command: answered whole or not at all
+            session.exchange([_encode_one(*batch.items[0])])
+            return
         commands, starts = _encode_batch(batch.items)
         try:
             session.exchange(commands)

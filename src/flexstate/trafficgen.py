@@ -144,5 +144,6 @@ def write_flow_file(path: str, flows: list[tuple]) -> None:
 
 
 def read_flow_file(path: str) -> list[tuple]:
-    with open(path, "r", encoding="ascii") as fh:
+    # Any byte decodes, so a non-ASCII one is refused as a bad field of its line.
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         return parse_flow_file(fh.read())

@@ -2,13 +2,16 @@
 
 import io
 import random
+import socket
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from flexstate.drivers import resp as resp_driver
-from flexstate.drivers.base import Mutation
+from flexstate.api import StateContext
+from flexstate.cache import CoreCache
+from flexstate.drivers import make_driver, resp as resp_driver
+from flexstate.drivers.base import Mutation, MutationBatch
 from flexstate.errors import ConnectionLost, ProtocolError
 from flexstate.keys import StructureType, build_key
 from flexstate.limits import INT64_MAX, INT64_MIN
@@ -358,3 +361,165 @@ def test_split_commands_matches_parse_walk_on_grouped_commands():
     for cut in range(len(stream) + 1):
         buf = stream[:cut]
         assert _split_walk(buf) == _parse_walk(buf), cut
+
+
+_INCR = encode_command(b"INCRBY", b"nf1@ins1@0@Counter@c", b"5")
+
+
+def _sized(n):
+    """One canonical HSET of exactly n bytes (n from 531 to 1041)."""
+    wire = encode_command(b"HSET", b"h", b"f" * 493, b"v" * (n - 530))
+    assert len(wire) == n
+    return wire
+
+
+# Reads at the edges of split_commands' lone-command exit, each with the
+# bundled server's whole answer to it on a fresh store.
+_LONE_READS = {
+    "one": (_INCR, b":5\r\n"),
+    "one-plus-byte": (_INCR + b"*", b":5\r\n"),
+    "two": (_INCR + _INCR, b":5\r\n:10\r\n"),
+    "cut": (_INCR[:-1], b""),
+    "payload-crlf": (encode_command(b"HSET", b"h", b"a\r\nb", b"v"), b":1\r\n"),
+    "header-05": (b"*3\r\n$3\r\nSET\r\n$01\r\nk\r\n$05\r\nvalue\r\n", b"+OK\r\n"),
+    "array-1024": (encode_command(b"DEL", *(b"k%d" % i for i in range(1023))), b":0\r\n"),
+    "read-1024": (_sized(1024), b":1\r\n"),
+    "read-1025": (_sized(1025), b":1\r\n"),
+    "payload-too-long": (
+        b"*2\r\n$3\r\nGET\r\n$1\r\nkk\r\n",
+        b"-ERR Protocol error: bulk payload not CRLF-terminated\r\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LONE_READS))
+def test_split_commands_lone_reads_match_parse_walk(name):
+    buf = _LONE_READS[name][0]
+    assert _split_walk(buf) == _parse_walk(buf)
+
+
+@pytest.mark.parametrize("name", ["one", "read-1024"])
+def test_split_commands_takes_a_lone_command_without_parse_command(name):
+    buf = _LONE_READS[name][0]
+    commands = []
+    with mock.patch.object(protocol, "parse_command", side_effect=AssertionError):
+        assert split_commands(buf, commands) == (len(buf), 0)
+    assert commands == [parse_command(buf)[0]]
+
+
+@pytest.mark.parametrize("name", sorted(_LONE_READS))
+def test_server_answers_lone_reads(mini_server, name):
+    wire, want = _LONE_READS[name]
+    sock = socket.create_connection(("127.0.0.1", mini_server.port), timeout=5)
+    try:
+        sock.sendall(wire)
+        sock.shutdown(socket.SHUT_WR)  # the server answers what it holds, then closes
+        got = b""
+        while more := sock.recv(4096):
+            got += more
+    finally:
+        sock.close()
+    assert got == want
+
+
+_V600 = b"x" * 600
+
+# A one-mutation batch of each kind, with bytes and int values, a 0-byte
+# and a 600-byte value, and the one command it goes out as.
+_ONE_MUTATION_WIRE = [
+    (Mutation("set_blob", None, b"v"), b"*3\r\n$3\r\nSET\r\n$16\r\nnf1@ins1@0@Map@m\r\n$1\r\nv\r\n"),
+    (Mutation("set_blob", None, -7), b"*3\r\n$3\r\nSET\r\n$16\r\nnf1@ins1@0@Map@m\r\n$2\r\n-7\r\n"),
+    (Mutation("set_blob", None, b""), b"*3\r\n$3\r\nSET\r\n$16\r\nnf1@ins1@0@Map@m\r\n$0\r\n\r\n"),
+    (
+        Mutation("set_blob", None, _V600),
+        b"*3\r\n$3\r\nSET\r\n$16\r\nnf1@ins1@0@Map@m\r\n$600\r\n" + _V600 + b"\r\n",
+    ),
+    (Mutation("delete"), b"*2\r\n$3\r\nDEL\r\n$16\r\nnf1@ins1@0@Map@m\r\n"),
+    (Mutation("incr", None, 5), b"*3\r\n$6\r\nINCRBY\r\n$16\r\nnf1@ins1@0@Map@m\r\n$1\r\n5\r\n"),
+    (
+        Mutation("incr", None, INT64_MIN),
+        b"*3\r\n$6\r\nINCRBY\r\n$16\r\nnf1@ins1@0@Map@m\r\n$20\r\n-9223372036854775808\r\n",
+    ),
+    (
+        Mutation("map_set", b"f", b"v"),
+        b"*4\r\n$4\r\nHSET\r\n$16\r\nnf1@ins1@0@Map@m\r\n$1\r\nf\r\n$1\r\nv\r\n",
+    ),
+    (
+        Mutation("map_set", b"f", 12),
+        b"*4\r\n$4\r\nHSET\r\n$16\r\nnf1@ins1@0@Map@m\r\n$1\r\nf\r\n$2\r\n12\r\n",
+    ),
+    (
+        Mutation("map_set", b"", _V600),
+        b"*4\r\n$4\r\nHSET\r\n$16\r\nnf1@ins1@0@Map@m\r\n$0\r\n\r\n$600\r\n" + _V600 + b"\r\n",
+    ),
+    (Mutation("map_del", b"f"), b"*3\r\n$4\r\nHDEL\r\n$16\r\nnf1@ins1@0@Map@m\r\n$1\r\nf\r\n"),
+    (
+        Mutation("map_incr", b"f", -1),
+        b"*4\r\n$7\r\nHINCRBY\r\n$16\r\nnf1@ins1@0@Map@m\r\n$1\r\nf\r\n$2\r\n-1\r\n",
+    ),
+    (Mutation("list_append", None, b"e"), b"*3\r\n$5\r\nRPUSH\r\n$16\r\nnf1@ins1@0@Map@m\r\n$1\r\ne\r\n"),
+    (Mutation("set_add", None, b""), b"*3\r\n$4\r\nSADD\r\n$16\r\nnf1@ins1@0@Map@m\r\n$0\r\n\r\n"),
+    (Mutation("set_del", None, b"m"), b"*3\r\n$4\r\nSREM\r\n$16\r\nnf1@ins1@0@Map@m\r\n$1\r\nm\r\n"),
+]
+
+
+def test_one_mutation_batch_wire_bytes_pinned():
+    driver = resp_driver.RespDriver("127.0.0.1:1")
+    session = driver.connect()
+    key = build_key("nf1", "ins1", 0, StructureType.MAP, "m")
+    assert {m.kind for m, _wire in _ONE_MUTATION_WIRE} == set(resp_driver._COMMANDS)
+    for mutation, wire in _ONE_MUTATION_WIRE:
+        with mock.patch.object(session, "exchange", return_value=[0]) as exchange:
+            driver.apply(session, MutationBatch([(key, mutation)]))
+        exchange.assert_called_once_with([wire])
+        assert resp_driver._encode_batch([(key, mutation)]) == ([wire], [0])
+
+
+class _CountingSocket:
+    """A connected socket whose sendall calls are recorded."""
+
+    def __init__(self, sock):
+        self.sock = sock
+        self.sent = []
+
+    def sendall(self, data):
+        self.sent.append(data)
+        self.sock.sendall(data)
+
+    def __getattr__(self, name):
+        return getattr(self.sock, name)
+
+
+def test_waiting_calls_make_one_send_and_one_read(mini_server):
+    cache = CoreCache("nf1", "ins1", 0, make_driver("resp", mini_server.endpoint), start_flusher=False)
+    ctx = StateContext(cache)
+    counter, table, hits = ctx.create_counter("c"), ctx.create_map("m"), ctx.create_counter_map("h")
+    session = cache.worker_session
+    counting = session._sock = _CountingSocket(session._sock)
+    calls = [
+        (lambda: counter.add(2), b"*3\r\n$6\r\nINCRBY\r\n$20\r\nnf1@ins1@0@Counter@c\r\n$1\r\n2\r\n"),
+        (
+            lambda: table.insert(b"k", b"v"),
+            b"*4\r\n$4\r\nHSET\r\n$16\r\nnf1@ins1@0@Map@m\r\n$1\r\nk\r\n$1\r\nv\r\n",
+        ),
+        (
+            lambda: hits.add_to(b"f", 3),
+            b"*4\r\n$7\r\nHINCRBY\r\n$23\r\nnf1@ins1@0@Countermap@h\r\n$1\r\nf\r\n$1\r\n3\r\n",
+        ),
+    ]
+    try:
+        with mock.patch.object(protocol, "read_reply", wraps=protocol.read_reply) as reads:
+            for call, wire in calls:
+                counting.sent.clear()
+                reads.reset_mock()
+                call()
+                assert counting.sent == [wire]
+                assert reads.call_count == 1
+    finally:
+        session._sock = counting.sock
+        cache.drain()
+        cache.driver.close()
+    with make_driver("resp", mini_server.endpoint).connect() as fresh:
+        assert fresh.fetch(counter.key) == 2
+        assert fresh.fetch(table.key) == {b"k": b"v"}
+        assert fresh.fetch(hits.key) == {b"f": 3}

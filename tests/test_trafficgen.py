@@ -107,3 +107,21 @@ def test_flow_file_rejects_bad_input(body):
 def test_flow_file_skips_blank_lines():
     text = FLOWFILE_HEADER + "\n\n198.18.0.1,198.19.0.2,5000,80,6\n\n"
     assert parse_flow_file(text) == [(0xC6120001, 0xC6130002, 5000, 80, 6)]
+
+
+@pytest.mark.parametrize(
+    "raw, field",
+    [
+        ("²".encode("utf-8"), "'²'"),  # a superscript two, as UTF-8
+        (b"\xff", "'\\udcff'"),  # not UTF-8 at all
+    ],
+    ids=["superscript", "invalid-utf8"],
+)
+def test_read_flow_file_refuses_non_ascii_by_line(tmp_path, raw, field):
+    # Refused as the bad field of its line, not as an undecodable byte offset.
+    path = tmp_path / "flows.txt"
+    good = b"198.18.0.1,198.19.0.2,5000,80,6\n"
+    path.write_bytes(FLOWFILE_HEADER.encode("ascii") + b"\n" + good + good[:-2] + raw + b"\n")
+    with pytest.raises(FlowFileError) as caught:
+        read_flow_file(path)
+    assert str(caught.value) == f"line 3: bad protocol {field}"
