@@ -129,7 +129,6 @@ class CoreCache:
         driver: Driver,
         *,
         flush_interval_us: int = 1000,
-        start_flusher: bool = True,
     ):
         check_flush_interval(flush_interval_us)
         self.nf_id = nf_id
@@ -157,8 +156,6 @@ class CoreCache:
         self.flusher_session = driver.connect()
         self.stats = FlushStats()
         self.flusher = Flusher(self, flush_interval_us)
-        if start_flusher:
-            self.flusher.start()
 
     # Structure lifecycle
 
@@ -283,8 +280,6 @@ class CoreCache:
     def take_pending(self) -> tuple[MutationBatch, int | None]:
         """Swap the pending log out as one batch. Called by the flusher."""
         with self._cond:
-            if not self._dirty:
-                return MutationBatch(), None
             batch = MutationBatch()
             taken = 0
             for state in self._dirty:
@@ -363,7 +358,10 @@ class CoreCache:
 class Flusher:
     """Fixed-cadence background flush thread that parks while idle.
 
-    Deadlines sit on a grid of whole intervals from the thread's start.
+    The thread starts when the Flusher is built, the last step of
+    CoreCache.__init__, and ends at stop(); a caller that flushes only by
+    hand (CoreCache.flush_now) stops it first. Deadlines sit on a grid of
+    whole intervals from the thread's start.
     At each one the flusher ticks if a structure is dirty or a batch is
     retained; otherwise it parks on the cache's Condition until a _nowait
     fold makes a structure dirty, or stop() is called. Waiting calls take
@@ -394,24 +392,16 @@ class Flusher:
         self._backoff = RETRY_BASE_S
         self._stop = threading.Event()
         self._tick_lock = threading.Lock()
-        self._thread: threading.Thread | None = None
-
-    def start(self) -> None:
-        thread = threading.Thread(
-            target=self._run,
-            name=f"flusher-core{self.cache.core_id}",
-            daemon=True,
+        self._thread = threading.Thread(
+            target=self._run, name=f"flusher-core{cache.core_id}", daemon=True
         )
-        self._thread = thread
-        thread.start()
+        self._thread.start()
 
     def stop(self) -> None:
         self._stop.set()
         with self.cache._cond:
             self.cache._cond.notify_all()  # wakes a parked flusher
-        if self._thread is not None:
-            self._thread.join()
-            self._thread = None
+        self._thread.join()  # a second stop joins an ended thread
 
     def _run(self) -> None:
         deadline = time.monotonic() + self.interval_s

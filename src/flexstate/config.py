@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 from .errors import BadDuration, ConfigSyntaxError, MissingField, UnknownDriver
 from .keys import check_token
+from .limits import is_decimal
 
 DEFAULT_FLUSH_INTERVAL_US = 1000
 
@@ -72,10 +73,9 @@ def parse_endpoint(endpoint: str) -> tuple[str, int] | None:
     host, sep, port_text = endpoint.rpartition(":")
     if not sep or not host:
         raise ConfigSyntaxError(f"endpoint {endpoint!r} must be host:port or 'local'")
-    try:
-        port = int(port_text)
-    except ValueError:
-        raise ConfigSyntaxError(f"endpoint port {port_text!r} is not an integer") from None
+    if not is_decimal(port_text):
+        raise ConfigSyntaxError(f"endpoint port {port_text!r} is not decimal")
+    port = int(port_text)
     if not 0 < port < 65536:
         raise ConfigSyntaxError(f"endpoint port {port} out of range")
     return host, port
@@ -104,12 +104,9 @@ def parse_config(text: str) -> FlexConfig:
             if not value:
                 raise ConfigSyntaxError(f"line {lineno}: empty value for {key!r}")
             if key == "flush interval us":
-                try:
-                    values["flush_interval_us"] = int(value)
-                except ValueError:
-                    raise BadDuration(
-                        f"line {lineno}: flush interval {value!r} is not an integer"
-                    ) from None
+                if not is_decimal(value):
+                    raise BadDuration(f"line {lineno}: flush interval {value!r} is not decimal")
+                values["flush_interval_us"] = int(value)
             else:
                 values[_KEY_TO_FIELD[key]] = value
     for field_name in _REQUIRED:
@@ -120,5 +117,6 @@ def parse_config(text: str) -> FlexConfig:
 
 
 def load_config(path: str) -> FlexConfig:
-    with open(path, "r", encoding="ascii") as fh:
+    # Any byte decodes, so a non-ASCII one is refused as a bad value of its line.
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         return parse_config(fh.read())

@@ -1,4 +1,4 @@
-"""Size and range limits enforced at the API boundary."""
+"""Size and range limits at the API boundary; number spelling in input text."""
 
 from .errors import Overflow, TypeConflict
 
@@ -33,3 +33,9 @@ def as_int(raw) -> int:
         return int(raw)
     except (ValueError, TypeError):
         raise TypeConflict(f"value {raw!r} is not an integer") from None
+
+
+def is_decimal(text: str) -> bool:
+    """Whether text is ASCII digits only, no more than the 4300 int() reads:
+    int() also takes signs, spaces, "_" and other scripts' digits."""
+    return text.isascii() and text.isdigit() and len(text) <= 4300

@@ -101,7 +101,13 @@ def _increment(store: dict, slot: bytes, delta: int, not_int: str) -> bytes:
 
 class MiniRespServer:
     """Loopback store for tests and benchmarks. Not hardened for the open
-    internet; it exists so the wire driver has a real socket to talk to."""
+    internet; it exists so the wire driver has a real socket to talk to.
+
+    An acceptor thread serves each connection on a thread of its own, and
+    _conns maps each open connection to that thread until the thread ends.
+    stop() closes the listener and joins the acceptor before it cuts and
+    joins the connections, so none is accepted after and none is left.
+    """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0):
         self._host = host
@@ -109,12 +115,11 @@ class MiniRespServer:
         self._db: dict[bytes, object] = {}
         self._data_lock = threading.Lock()
         self._listen_sock: socket.socket | None = None
-        # The acceptor, then each open connection and its serving thread,
-        # which drops both when it ends. Guarded by _conns_lock.
-        self._threads: list[threading.Thread] = []
-        self._conns: list[socket.socket] = []
+        self._acceptor: threading.Thread | None = None
+        # Each open connection -> its serving thread, which drops the entry
+        # when it ends. Guarded by _conns_lock.
+        self._conns: dict[socket.socket, threading.Thread] = {}
         self._conns_lock = threading.Lock()
-        self._stopping = threading.Event()
 
     # Lifecycle
 
@@ -129,36 +134,26 @@ class MiniRespServer:
         return f"{self._host}:{self.port}"
 
     def start(self) -> "MiniRespServer":
-        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         try:
-            sock.bind((self._host, self._port))
+            self._listen_sock = socket.create_server((self._host, self._port), backlog=128)
         except OSError as exc:
-            sock.close()
             raise BindFailure(f"cannot bind {self._host}:{self._port}: {exc}") from exc
-        sock.listen(128)
-        self._listen_sock = sock
-        acceptor = threading.Thread(target=self._accept_loop, daemon=True)
-        with self._conns_lock:
-            self._threads.append(acceptor)
-        acceptor.start()
+        self._acceptor = threading.Thread(target=self._accept_loop, daemon=True)
+        self._acceptor.start()
         return self
 
     def stop(self) -> None:
-        self._stopping.set()
-        if self._listen_sock is not None:
+        if self._acceptor is not None:
             try:
                 # close() alone does not wake a thread parked in accept().
                 self._listen_sock.shutdown(socket.SHUT_RDWR)
             except OSError:
                 pass
-            try:
-                self._listen_sock.close()
-            except OSError:
-                pass
+            self._listen_sock.close()
+            self._acceptor.join(timeout=2.0)
         self.drop_connections()
         with self._conns_lock:
-            threads = list(self._threads)
+            threads = list(self._conns.values())
         for t in threads:
             t.join(timeout=2.0)
 
@@ -180,8 +175,7 @@ class MiniRespServer:
         self.stop()
 
     def _accept_loop(self) -> None:
-        assert self._listen_sock is not None
-        while not self._stopping.is_set():
+        while True:
             try:
                 conn, _addr = self._listen_sock.accept()
             except OSError:
@@ -189,8 +183,7 @@ class MiniRespServer:
             conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             t = threading.Thread(target=self._serve, args=(conn,), daemon=True)
             with self._conns_lock:
-                self._conns.append(conn)
-                self._threads.append(t)
+                self._conns[conn] = t
             t.start()
 
     def _serve(self, conn: socket.socket) -> None:
@@ -200,9 +193,9 @@ class MiniRespServer:
         size = 0  # bytes in held
         need = 0  # the least size that can complete the cut command
         try:
-            while not self._stopping.is_set():
+            while True:
                 data = conn.recv(RECV_BYTES)
-                if not data:
+                if not data:  # the client left, or the connection was cut
                     return
                 held.append(data)
                 size += len(data)
@@ -230,13 +223,9 @@ class MiniRespServer:
         except OSError:
             pass
         finally:
-            try:
-                conn.close()
-            except OSError:
-                pass
+            conn.close()
             with self._conns_lock:
-                self._conns.remove(conn)
-                self._threads.remove(threading.current_thread())
+                del self._conns[conn]
 
     # Command execution
 

@@ -100,12 +100,15 @@ def rss_hash(flow: tuple, n_cores: int) -> int:
 
 @dataclass
 class CoreReport:
+    """One core's packet counts, its cache's FlushStats (flush) and its
+    NF's summary(). queue_dropped is what timed mode shed at this core's
+    full queue; a failed core makes WorkerPool.run raise, not report."""
+
     core_id: int
     processed: int = 0
     forwarded: int = 0
     nf_dropped: int = 0
     queue_dropped: int = 0
-    discarded_after_error: int = 0
     flush: dict = field(default_factory=dict)
     nf_summary: dict = field(default_factory=dict)
 
@@ -172,7 +175,10 @@ class _Worker(threading.Thread):
             self._loop(ctx)
         except BaseException:
             self.error = traceback.format_exc()
-            self._discard_until_sentinel()
+            # Empty the inbox up to the sentinel, so that a lossless
+            # dispatcher never blocks on this core's full queue.
+            for _chunk in iter(self.inbox.get, None):
+                pass
         finally:
             self.end_time = time.perf_counter()
             if self.cache is not None:
@@ -197,11 +203,6 @@ class _Worker(threading.Thread):
             self.report.processed = processed
             self.report.forwarded = processed - nf_dropped
             self.report.nf_dropped = nf_dropped
-
-    def _discard_until_sentinel(self) -> None:
-        # The dispatcher sends the sentinel even when its source fails.
-        for chunk in iter(self.inbox.get, None):
-            self.report.discarded_after_error += len(chunk)
 
 
 class WorkerPool:
@@ -300,7 +301,7 @@ class WorkerPool:
         wall = max(w.end_time for w in self.workers) - start
         for w in self.workers:
             c = w.report
-            c.queue_dropped = queue_dropped[w.core_id] + c.discarded_after_error
+            c.queue_dropped = queue_dropped[w.core_id]
             c.nf_summary = self._summary_of(w.nf)
         per_core = [w.report for w in self.workers]
         processed = sum(c.processed for c in per_core)

@@ -97,8 +97,10 @@ class _RecordingSession(DriverSession):
 
 
 class RecordingDriver(Driver):
-    """Pass-through driver that logs traffic and can inject failures.
+    """Pass-through driver that records applied batches and can inject
+    failures.
 
+    applied holds (session id, seq, items) per batch the inner driver took.
     fail_applies makes the next N apply calls raise ConnectionLost before
     reaching the inner driver, which is how flusher retry paths get
     exercised deterministically.
@@ -110,10 +112,7 @@ class RecordingDriver(Driver):
         super().__init__()
         self.inner = inner
         self.applied: list[tuple[int, int, list]] = []
-        self.attempts = 0
         self.fail_applies = 0
-        self.fetches = 0
-        self.scans = 0
         self._record_lock = threading.Lock()
 
     def _make_session(self, session_id: int):
@@ -123,7 +122,6 @@ class RecordingDriver(Driver):
 
     def _apply(self, session: _RecordingSession, batch: MutationBatch) -> None:
         with self._record_lock:
-            self.attempts += 1
             if self.fail_applies > 0:
                 self.fail_applies -= 1
                 raise ConnectionLost("injected failure")
@@ -133,13 +131,9 @@ class RecordingDriver(Driver):
             self.applied.append((session.session_id, batch.seq, list(batch.items)))
 
     def _fetch(self, session: _RecordingSession, key: StoreKey):
-        with self._record_lock:
-            self.fetches += 1
         return self.inner.fetch(session.inner, key)
 
     def _scan(self, session: _RecordingSession, nf_id: str, instance_id: str):
-        with self._record_lock:
-            self.scans += 1
         return self.inner.scan_prefix(session.inner, nf_id, instance_id)
 
     def _wipe(self, session: _RecordingSession) -> None:

@@ -20,6 +20,7 @@ import itertools
 import random
 
 from .errors import FlowFileError
+from .limits import is_decimal
 from .runtime import DEFAULT_PACKET_SIZE, MIN_PACKET_SIZE, Packet
 
 FLOWFILE_HEADER = "flexstate-flows v1"
@@ -76,26 +77,20 @@ def _ip_text(ip: int) -> str:
     return f"{ip >> 24 & 255}.{ip >> 16 & 255}.{ip >> 8 & 255}.{ip & 255}"
 
 
-def _is_decimal(text: str) -> bool:
-    """Whether text is ASCII decimal digits only: str.isdigit alone also
-    takes other scripts' digits and superscripts such as '²'."""
-    return text.isascii() and text.isdigit()
-
-
 def _ip_value(text: str, lineno: int) -> int:
     parts = text.split(".")
     if len(parts) != 4:
         raise FlowFileError(f"line {lineno}: bad address {text!r}")
     value = 0
     for part in parts:
-        if not _is_decimal(part) or (len(part) > 1 and part[0] == "0") or int(part) > 255:
+        if not is_decimal(part) or (len(part) > 1 and part[0] == "0") or int(part) > 255:
             raise FlowFileError(f"line {lineno}: bad address {text!r}")
         value = (value << 8) | int(part)
     return value
 
 
 def _int_field(text: str, lineno: int, what: str, top: int) -> int:
-    if not _is_decimal(text):
+    if not is_decimal(text):
         raise FlowFileError(f"line {lineno}: bad {what} {text!r}")
     value = int(text)
     if value > top:

@@ -18,11 +18,12 @@ from flexstate.limits import (
     MAX_ELEMENT_BYTES,
     MAX_MAP_KEY_BYTES,
 )
+from manual_flush import manual_cache
 
 
 @pytest.fixture
 def ctx():
-    cache = CoreCache("nf1", "ins1", 0, make_driver("flatkvs"), start_flusher=False)
+    cache = manual_cache("nf1", "ins1", 0, make_driver("flatkvs"))
     yield StateContext(cache)
     cache.drain()
 
@@ -134,7 +135,7 @@ def test_counter_map_delete_then_add_flushes(label):
     # The flush is [delete, map_incr(f, 1)] against a stored MAX: the
     # delete resets f, so the batch is in range and lands whole.
     driver = make_driver(label)
-    cache = CoreCache("nf1", "ins1", 0, driver, start_flusher=False)
+    cache = manual_cache("nf1", "ins1", 0, driver)
     cm = StateContext(cache).create_counter_map("cm")
     cm.insert(b"f", 2**63 - 1)
     cm.delete_nowait()

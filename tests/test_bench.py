@@ -269,10 +269,7 @@ def test_flexbench_surface_is_pinned(command, surface):
 # The library's run settings. A knob added to one of these calls fails
 # here until the literal is edited on purpose.
 _CALL_SURFACE = {
-    CoreCache.__init__: (
-        "(self, nf_id, instance_id, core_id, driver, *, "
-        "flush_interval_us=1000, start_flusher=True)"
-    ),
+    CoreCache.__init__: "(self, nf_id, instance_id, core_id, driver, *, flush_interval_us=1000)",
     CoreCache.drain: "(self)",
     WorkerPool.__init__: "(self, config, n_cores, driver=None)",
     WorkerPool.run: "(self, nf_factory, packets, *, duration_s=None, nf_name='nf')",

@@ -40,12 +40,15 @@ from flexstate.errors import (
 from flexstate.keys import StructureType, build_key
 from flexstate.limits import INT64_MAX, INT64_MIN
 from flexstate.testing import ModelStore, RecordingDriver
+from manual_flush import manual_cache
 
 
 def make_cache(driver=None, **kwargs):
-    driver = driver or make_driver("flatkvs")
-    kwargs.setdefault("start_flusher", False)
-    return CoreCache("nf1", "ins1", 0, driver, **kwargs)
+    return manual_cache("nf1", "ins1", 0, driver or make_driver("flatkvs"), **kwargs)
+
+
+def live_cache(driver=None, **kwargs):
+    return CoreCache("nf1", "ins1", 0, driver or make_driver("flatkvs"), **kwargs)
 
 
 def recording_cache(**kwargs):
@@ -1239,7 +1242,7 @@ def test_owner_mutations_and_flusher_exclude_each_other(label, seed, monkeypatch
 
 
 def test_idle_flusher_runs_no_ticks():
-    cache = make_cache(start_flusher=True, flush_interval_us=1000)
+    cache = live_cache(flush_interval_us=1000)
     StateContext(cache).create_counter("c")
     time.sleep(0.1)
     assert cache.stats.ticks == 0
@@ -1250,7 +1253,7 @@ def test_waiting_calls_alone_never_wake_the_flusher():
     # Each call waits out an injected 100 us round trip, so the 300 calls
     # span at least 30 flush intervals.
     driver = make_driver("flatkvs", inject_latency_us=100)
-    cache = make_cache(driver, start_flusher=True, flush_interval_us=1000)
+    cache = live_cache(driver, flush_interval_us=1000)
     counter = StateContext(cache).create_counter("c")
     for _ in range(300):
         counter.add(1)
@@ -1264,9 +1267,7 @@ def test_waiting_calls_alone_never_wake_the_flusher():
 def test_nowait_after_idle_reaches_store_within_three_intervals():
     interval_s = 0.02
     driver = make_driver("flatkvs")
-    cache = make_cache(
-        driver, start_flusher=True, flush_interval_us=int(interval_s * 1e6)
-    )
+    cache = live_cache(driver, flush_interval_us=int(interval_s * 1e6))
     counter = StateContext(cache).create_counter("c")
     time.sleep(0.05)  # long enough for the flusher to park
     with driver.connect() as probe:
@@ -1285,13 +1286,13 @@ def test_flush_interval_that_config_refuses_is_refused(interval_us):
 
 
 def test_drain_of_parked_flusher_is_prompt():
-    cache = make_cache(start_flusher=True, flush_interval_us=1000)
+    cache = live_cache(flush_interval_us=1000)
     StateContext(cache).create_counter("c")
     time.sleep(0.02)
     t0 = time.monotonic()
     cache.drain()
     assert time.monotonic() - t0 < 0.05
-    assert not cache.flusher._thread
+    assert not cache.flusher._thread.is_alive()
 
 
 def test_late_tick_is_not_followed_by_empty_catch_up_ticks():
@@ -1299,7 +1300,7 @@ def test_late_tick_is_not_followed_by_empty_catch_up_ticks():
     # runs only when the interpreter forces a switch and every tick is late.
     # Each tick must find the mutations made since the last one: missed
     # deadlines are skipped, not replayed back to back.
-    cache = make_cache(start_flusher=True, flush_interval_us=1000)
+    cache = live_cache(flush_interval_us=1000)
     counter = StateContext(cache).create_counter("c")
     end = time.perf_counter() + 0.02
     while time.perf_counter() < end:

@@ -10,6 +10,7 @@ from flexstate.config import (
 from flexstate.errors import (
     BadDuration,
     ConfigSyntaxError,
+    InvalidToken,
     MissingField,
     UnknownDriver,
 )
@@ -92,6 +93,18 @@ def test_non_numeric_interval_rejected():
         )
 
 
+@pytest.mark.parametrize(
+    "value",
+    ["\u0661\u0660", "1_000", "+1000"],
+    ids=["arabic-indic", "underscore", "plus"],
+)
+def test_interval_outside_ascii_digits_rejected(value):
+    with pytest.raises(BadDuration, match="is not decimal"):
+        parse_config(
+            f"NF id: a; NF instance id: b; driver: flatkvs; flush interval us: {value};"
+        )
+
+
 def test_unknown_driver_rejected():
     with pytest.raises(UnknownDriver):
         parse_config("NF id: a; NF instance id: b; driver: nosuch;")
@@ -107,6 +120,30 @@ def test_endpoint_parsing():
         parse_endpoint("host:0")
     with pytest.raises(ConfigSyntaxError):
         parse_endpoint("host:notaport")
+    # int() also reads these as 80: a port is ASCII decimal digits only.
+    for port in ("\u0668\u0660", "+80", "8_0", " 80", "80 "):
+        with pytest.raises(ConfigSyntaxError, match="is not decimal"):
+            parse_endpoint(f"127.0.0.1:{port}")
+
+
+@pytest.mark.parametrize(
+    "raw, shown",
+    [("\u00b2".encode("utf-8"), "'nf\u00b2'"), (b"\xff", "'nf\\udcff'")],
+    ids=["superscript", "invalid-utf8"],
+)
+def test_load_config_refuses_non_ascii_as_a_bad_value(tmp_path, raw, shown):
+    # Refused as the value it spoils, not as an undecodable byte offset.
+    path = tmp_path / "flex.conf"
+    path.write_bytes(b"NF id: nf" + raw + b";\nNF instance id: ins1;\ndriver: flatkvs;\n")
+    with pytest.raises(InvalidToken) as caught:
+        load_config(path)
+    assert str(caught.value) == f"nf id {shown} must be printable ASCII without '@'"
+
+
+def test_load_config_reads_non_ascii_comments(tmp_path):
+    path = tmp_path / "flex.conf"
+    path.write_bytes(FULL.encode("ascii") + "# caf\u00e9\n".encode("utf-8"))
+    assert load_config(path) == parse_config(FULL)
 
 
 def test_load_config(tmp_path):

@@ -31,7 +31,7 @@ from flexstate.drivers import (
 )
 from flexstate.api import StateContext
 import flexstate.cache as cache_mod
-from flexstate.cache import RETRY_BASE_S, CoreCache
+from flexstate.cache import RETRY_BASE_S
 from flexstate.config import FlexConfig
 from flexstate.drivers.base import UNSET_SEQ, Mutation
 import flexstate.drivers.resp as resp_mod
@@ -58,6 +58,7 @@ from flexstate.testing import (
     random_population,
     random_sequence,
 )
+from manual_flush import manual_cache
 
 K_COUNTER = build_key("nf1", "ins1", 1, StructureType.COUNTER, "counter_id")
 K_NV = build_key("nf1", "ins1", 1, StructureType.NAME_VALUE, "N")
@@ -269,10 +270,20 @@ def test_seq_stamped_once_and_preserved(driver):
 
 
 def test_closed_session_rejected(driver):
+    with driver.connect() as probe:
+        apply_items(probe, [(K_COUNTER, incr(1))])
     s = driver.connect()
     s.close()
     with pytest.raises(ConnectionLost):
         s.fetch(K_COUNTER)
+    with pytest.raises(ConnectionLost):
+        s.apply(MutationBatch([(K_COUNTER, incr(1))]))
+    with pytest.raises(ConnectionLost):
+        s.scan_prefix("nf1", "ins1")
+    with pytest.raises(ConnectionLost):
+        driver.wipe(s)
+    with driver.connect() as probe:  # neither the apply nor the wipe landed
+        assert probe.fetch(K_COUNTER) == 1
 
 
 def test_session_ids_distinct(driver):
@@ -609,7 +620,7 @@ def test_resp_driver_sends_every_command_the_server_knows():
 
 
 def waiting_cache(server):
-    cache = CoreCache("nf1", "ins1", 0, make_driver("resp", server.endpoint), start_flusher=False)
+    cache = manual_cache("nf1", "ins1", 0, make_driver("resp", server.endpoint))
     return cache, StateContext(cache)
 
 
@@ -1013,6 +1024,15 @@ def test_resp_malformed_reply_drops_the_link(scripted_peer):
         assert s.reconnects == 2
 
 
+def test_resp_unknown_error_reply_is_a_protocol_error(scripted_peer):
+    # Only WRONGTYPE, not-an-integer and overflow replies name a refusal;
+    # any other error reply is outside what the driver speaks.
+    peer = scripted_peer(lambda link, parts: b"-ERR no such thing\r\n")
+    with make_driver("resp", peer.endpoint).connect() as s:
+        with pytest.raises(ProtocolError, match="unexpected error reply: ERR no such thing"):
+            s.apply(MutationBatch([(K_COUNTER, incr(1))]))
+
+
 def grouped_items():
     items = [(K_MAP, map_set(b"f%d" % i, b"v")) for i in range(_GROUP_MAX + 10)]
     items += [(K_COUNTER, incr(1)), (K_COUNTER, incr(2))]
@@ -1056,7 +1076,7 @@ def test_resp_drain_dumps_only_unanswered_mutations(scripted_peer, monkeypatch):
     answered = []
     peer = scripted_peer(answer)
     driver = RecordingDriver(make_driver("resp", peer.endpoint))
-    cache = CoreCache("nf1", "ins1", 0, driver, start_flusher=False)
+    cache = manual_cache("nf1", "ins1", 0, driver)
     ctx = StateContext(cache)
     m = ctx.create_map("m")
     counter = ctx.create_counter("c")

@@ -12,6 +12,7 @@ from flexstate.keys import (
     key_prefix,
     parse_key,
 )
+from flexstate.limits import MAX_ID_BYTES
 
 # Any printable ASCII except '@' is legal in a token.
 token_chars = st.characters(
@@ -111,6 +112,13 @@ def test_bad_core_rejected():
 def test_bad_renderings_rejected(text):
     with pytest.raises((InvalidToken, InvalidId)):
         parse_key(text)
+
+
+def test_structure_id_byte_cap():
+    longest = "a" * MAX_ID_BYTES
+    assert check_structure_id(longest) == longest
+    with pytest.raises(InvalidId, match=f"longer than {MAX_ID_BYTES} bytes"):
+        check_structure_id(longest + "a")
 
 
 def test_trailing_newline_rejected():

@@ -6,7 +6,6 @@ import pytest
 
 import flexstate.cache as cache_mod
 from flexstate.api import StateContext
-from flexstate.cache import CoreCache
 from flexstate.drivers import make_driver
 from flexstate.errors import EmptyServerList
 from flexstate.nf import (
@@ -22,12 +21,13 @@ from flexstate.nf.counter import CounterAsyncNF, CounterSyncNF
 from flexstate.nf.lb import LoadBalancerNF
 from flexstate.nf.nat import EXTERNAL_BASE, NatNF, chunk_bounds, pool_entry
 from flexstate.runtime import Packet, make_packet
+from manual_flush import manual_cache
 
 _FLOW = struct.Struct("!IIHHB")
 
 
 def make_ctx(driver, core_id=0, n_cores=1):
-    cache = CoreCache("nf1", "ins1", core_id, driver, start_flusher=False)
+    cache = manual_cache("nf1", "ins1", core_id, driver)
     return StateContext(cache, n_cores=n_cores), cache
 
 
@@ -215,7 +215,7 @@ def test_nat_backpressure_drops_and_skips(monkeypatch):
     # cursor past an entry that no flow gets.
     monkeypatch.setattr(cache_mod, "BACKPRESSURE_LIMIT", 2)
     driver = make_driver("flatkvs")
-    cache = CoreCache("nf1", "ins1", 0, driver, start_flusher=False)
+    cache = manual_cache("nf1", "ins1", 0, driver)
     ctx = StateContext(cache)
     nat = NatNF(pool_size=10)
     nat.setup(ctx)

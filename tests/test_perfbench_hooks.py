@@ -25,7 +25,7 @@ def test_tracer_spans_reach_every_layer(monkeypatch):
     server = tracer.server_class(MiniRespServer)().start()
     tracer.install()
     try:
-        cache = CoreCache("nf1", "ins1", 0, make_driver("flatkvs"), start_flusher=False)
+        cache = CoreCache("nf1", "ins1", 0, make_driver("flatkvs"))
         ctx = StateContext(cache)
         ctx.create_counter("c").add_nowait(1)
         ctx.create_map("m").insert_nowait(b"k", b"v")
@@ -33,7 +33,7 @@ def test_tracer_spans_reach_every_layer(monkeypatch):
         cache.drain()
         resp = make_driver("resp", server.endpoint)
         # One pipelined flush of several commands through the traced server.
-        cache = CoreCache("nf1", "ins1", 0, resp, start_flusher=False)
+        cache = CoreCache("nf1", "ins1", 0, resp)
         ctx = StateContext(cache)
         ctx.create_counter("c").add_nowait(1)
         bindings = ctx.create_map("m")
@@ -78,7 +78,7 @@ def test_tracer_counts_waiting_calls(monkeypatch):
     tracer.install()
     try:
         resp = make_driver("resp", server.endpoint)
-        cache = CoreCache("nf1", "ins1", 0, resp, start_flusher=False)
+        cache = CoreCache("nf1", "ins1", 0, resp)
         ctx = StateContext(cache)
         ctx.create_counter("c").add(1)
         ctx.create_map("m").insert(b"k", b"v")
@@ -105,7 +105,7 @@ def test_instance_patch_of_apply_sees_waiting_batches(monkeypatch):
     with MiniRespServer() as server:
         driver = make_driver("resp", server.endpoint)
         workloads.drop_one_mutation(driver)
-        cache = CoreCache("nf1", "ins1", 0, driver, start_flusher=False)
+        cache = CoreCache("nf1", "ins1", 0, driver)
         counter = StateContext(cache).create_counter("c")
         counter.add(1)  # dropped
         counter.add(2)

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from flexstate.api import StateContext
-from flexstate.cache import CoreCache
 from flexstate.drivers import make_driver, resp as resp_driver
 from flexstate.drivers.base import Mutation, MutationBatch
 from flexstate.errors import ConnectionLost, ProtocolError
@@ -28,6 +27,7 @@ from flexstate.resp.protocol import (
     read_reply,
     split_commands,
 )
+from manual_flush import manual_cache
 
 
 def test_encode_command_frozen():
@@ -491,7 +491,7 @@ class _CountingSocket:
 
 
 def test_waiting_calls_make_one_send_and_one_read(mini_server):
-    cache = CoreCache("nf1", "ins1", 0, make_driver("resp", mini_server.endpoint), start_flusher=False)
+    cache = manual_cache("nf1", "ins1", 0, make_driver("resp", mini_server.endpoint))
     ctx = StateContext(cache)
     counter, table, hits = ctx.create_counter("c"), ctx.create_map("m"), ctx.create_counter_map("h")
     session = cache.worker_session

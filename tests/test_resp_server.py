@@ -416,7 +416,7 @@ def test_drop_connections_ends_every_serving_thread(mini_server):
     # One connection holds a cut command, one a cut bulk payload.
     clients[1].sock.sendall(b"*2\r\n$3\r\nGET\r\n")
     clients[2].sock.sendall(b"*2\r\n$3\r\nGET\r\n$100\r\nabc")
-    serving = mini_server._threads[1:]  # the first is the acceptor
+    serving = list(mini_server._conns.values())
     assert len(serving) == 3
     mini_server.drop_connections()
     for t in serving:
@@ -437,10 +437,28 @@ def test_closed_connections_are_forgotten(mini_server):
         assert c.call(b"SET", b"k", b"v") == b"OK"
         c.close()
     deadline = time.monotonic() + 5
-    while len(mini_server._threads) > 1 and time.monotonic() < deadline:
+    while mini_server._conns and time.monotonic() < deadline:
         time.sleep(0.01)
-    assert len(mini_server._threads) == 1  # the acceptor
-    assert mini_server._conns == []
+    assert mini_server._conns == {}
+
+
+def test_stop_leaves_no_thread_and_no_connection():
+    server = MiniRespServer().start()
+    port = server.port
+    clients = [Client(port) for _ in range(3)]
+    for c in clients:
+        assert c.call(b"SET", b"k", b"v") == b"OK"
+    clients[1].sock.sendall(b"*2\r\n$3\r\nGET\r\n")  # a cut command
+    serving = list(server._conns.values())
+    assert len(serving) == 3
+    server.stop()
+    assert not server._acceptor.is_alive()
+    assert not any(t.is_alive() for t in serving)
+    assert server._conns == {}
+    with pytest.raises(OSError):
+        socket.create_connection(("127.0.0.1", port), timeout=5)
+    for c in clients:
+        c.close()
 
 
 def test_variadic_writes_count_each_entry_once(client):

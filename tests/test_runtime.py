@@ -193,6 +193,40 @@ def test_worker_error_propagates():
         pool.run(ExplodingNF, replay(flows, budget=100), nf_name="exploding")
 
 
+class FailedSetupNF(CountingNF):
+    name = "failed-setup"
+
+    def setup(self, ctx):
+        raise LookupError("setup found no table")
+
+
+def test_failed_setup_with_more_than_a_queue_behind_it_raises():
+    # The worker fails before it takes a chunk, and more packets follow
+    # than its queue holds: a lossless dispatcher must not block on that
+    # queue, and run must raise the failure. Run in a thread, so that a
+    # blocked dispatcher fails the test instead of hanging it.
+    packets = replay(
+        generate_flows(10, seed=6),
+        budget=runtime.QUEUE_PACKETS + 4 * runtime.CHUNK_PACKETS,
+    )
+    pool = WorkerPool(CONFIG, 1, make_driver("flatkvs"))
+    raised = []
+
+    def run():
+        try:
+            pool.run(FailedSetupNF, packets, nf_name="failed-setup")
+        except RuntimeError as exc:
+            raised.append(str(exc))
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(timeout=30)
+    assert not thread.is_alive(), "the dispatcher blocked on the failed core's queue"
+    assert len(raised) == 1
+    assert "1 worker(s) failed" in raised[0]
+    assert "LookupError: setup found no table" in raised[0]
+
+
 def test_state_flushed_after_run():
     # Worker drain pushes NF state to the store before run() returns.
     class StatefulNF(CountingNF):

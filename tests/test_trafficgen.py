@@ -97,6 +97,10 @@ def test_flow_file_render_frozen():
         FLOWFILE_HEADER + "\n198.18.0.\u00b2,198.19.0.2,5000,80,6\n",  # superscript octet
         FLOWFILE_HEADER + "\n198.18.0.\u0661,198.19.0.2,5000,80,6\n",  # Arabic-Indic 1
         FLOWFILE_HEADER + "\n",  # no flows
+        pytest.param(
+            FLOWFILE_HEADER + "\n198.18.0.1,198.19.0.2,5000,80," + "6" * 5000 + "\n",
+            id="digits-past-int-limit",
+        ),
     ],
 )
 def test_flow_file_rejects_bad_input(body):
